@@ -19,9 +19,7 @@
 
 #include "bench/bench_util.h"
 #include "common/alias_table.h"
-#include "common/block_fenwick_forest.h"
 #include "common/logging.h"
-#include "common/fenwick_tree.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/oasis.h"
@@ -104,9 +102,9 @@ StepBenchContext MakeStepBench(size_t k, OasisOptions options) {
     // single drift rebuild costs milliseconds, so how many rebuilds happen to
     // land in the window dominates the measurement (huge run-to-run
     // variance). Widen the drift gate so these rows measure the steady-state
-    // sub-linear draw/update path; rebuild cost at this scale is benchmarked
-    // and regression-gated separately by BM_BlockForestRebuild.
-    options.fenwick_rebuild_tol = 0.1;
+    // O(1) draw path; the O(K) table build at this scale is benchmarked
+    // separately by BM_AliasTableBuild.
+    options.alias_drift_tol = 0.1;
   }
   if (k >= 100000) {
     const LargeKBench& fixture = LargeKFixture(k);
@@ -158,39 +156,6 @@ void BM_LinearScanSample(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LinearScanSample)->Arg(1000)->Arg(100000)->Arg(1000000);
-
-/// O(log n) Fenwick inverse-CDF draw — the dynamic middle ground between the
-/// O(1)-draw/O(n)-rebuild alias table and the O(n) linear scan.
-void BM_FenwickSample(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(8);
-  std::vector<double> weights(n);
-  for (double& w : weights) w = rng.NextDouble() + 1e-6;
-  FenwickTree tree = FenwickTree::Build(weights).ValueOrDie();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.Sample(rng));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FenwickSample)->Arg(1000)->Arg(100000)->Arg(1000000);
-
-/// O(log n) Fenwick point update — the cost of keeping the distribution
-/// current after a single-coordinate change (alias tables pay O(n) here).
-void BM_FenwickUpdate(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(9);
-  std::vector<double> weights(n);
-  for (double& w : weights) w = rng.NextDouble() + 1e-6;
-  FenwickTree tree = FenwickTree::Build(weights).ValueOrDie();
-  size_t i = 0;
-  for (auto _ : state) {
-    tree.Update(i, 0.5 + 0.25 * static_cast<double>(i % 7));
-    benchmark::DoNotOptimize(tree);
-    i = (i + 7919) % n;  // Prime stride: touch varied tree paths.
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FenwickUpdate)->Arg(1000)->Arg(100000)->Arg(1000000);
 
 void BM_AliasTableBuild(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -255,38 +220,10 @@ BENCHMARK(BM_OasisStepAllocating)
     ->Arg(1000)
     ->Arg(10000);
 
-/// One OASIS iteration through the Fenwick-tree path: O(log K) draw +
-/// single-stratum update, with O(K) mass rebuilds only on F-hat drift. The
-/// point of comparison for BM_OasisStep (fused O(K)) as K grows; the 100k and
-/// 1M rows are the pool-scale tier, raced against BM_OasisStepAlias.
-void BM_OasisStepFenwick(benchmark::State& state) {
-  const size_t k = static_cast<size_t>(state.range(0));
-  OasisOptions options;
-  options.step_path = OasisStepPath::kFenwick;
-  StepBenchContext ctx = MakeStepBench(k, options);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ctx.sampler->Step().ok());
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["K"] =
-      static_cast<double>(ctx.sampler->strata().num_strata());
-  state.SetLabel("K=" + std::to_string(ctx.sampler->strata().num_strata()));
-}
-BENCHMARK(BM_OasisStepFenwick)
-    ->Arg(10)
-    ->Arg(30)
-    ->Arg(60)
-    ->Arg(120)
-    ->Arg(1000)
-    ->Arg(10000)
-    ->Arg(100000)
-    ->Arg(1000000);
-
 /// One OASIS iteration through the alias path: O(1) draws from a frozen
 /// Walker/Vose snapshot, O(K) in-place rebuilds when the drift gate fires.
-/// The other contender of the pool-scale race — at K >= 100k the rebuild
-/// amortisation decides the winner, which is why the large rows share
-/// BM_OasisStepFenwick's fixture exactly.
+/// The point of comparison for BM_OasisStep (fused O(K)) as K grows; the
+/// 100k and 1M rows are the pool-scale tier.
 void BM_OasisStepAlias(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));
   OasisOptions options;
@@ -308,57 +245,6 @@ BENCHMARK(BM_OasisStepAlias)
     ->Arg(10000)
     ->Arg(100000)
     ->Arg(1000000);
-
-/// One OASIS iteration through the sharded-Fenwick path at pool scale: the
-/// O(K) drift rebuilds fan out over an 8-worker pool while draws stay
-/// O(log K). Only meaningful at large K (below that the rebuild is too cheap
-/// to shard), so the sweep starts at 100k.
-void BM_OasisStepSharded(benchmark::State& state) {
-  const size_t k = static_cast<size_t>(state.range(0));
-  static ThreadPool* shard_pool = new ThreadPool(8);
-  OasisOptions options;
-  options.step_path = OasisStepPath::kShardedFenwick;
-  options.num_shards = 8;
-  options.shard_pool = shard_pool;
-  StepBenchContext ctx = MakeStepBench(k, options);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ctx.sampler->Step().ok());
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["K"] =
-      static_cast<double>(ctx.sampler->strata().num_strata());
-  state.counters["shards"] = 8.0;
-  state.SetLabel("K=" + std::to_string(ctx.sampler->strata().num_strata()) +
-                 " shards=8");
-}
-BENCHMARK(BM_OasisStepSharded)->Arg(100000)->Arg(1000000)->UseRealTime();
-
-/// Isolated cost of one full blocked-forest mass rebuild at K = 1M, serial
-/// (shards=1) vs fanned out over 8 workers — the component the sharded step
-/// path pays on every drift trip, measured without the sampler around it.
-/// Items/sec counts stratum masses written per second.
-void BM_BlockForestRebuild(benchmark::State& state) {
-  const size_t shards = static_cast<size_t>(state.range(0));
-  constexpr size_t kForestK = 1000000;
-  static ThreadPool* pool = new ThreadPool(8);
-  static std::vector<double>* masses = [] {
-    auto* m = new std::vector<double>(kForestK);
-    Rng rng(11);
-    for (double& v : *m) v = rng.NextDouble() + 1e-6;
-    return m;
-  }();
-  BlockFenwickForest forest = BlockFenwickForest::Build(*masses).ValueOrDie();
-  for (auto _ : state) {
-    OASIS_CHECK_OK(forest.ParallelRebuild(*masses, pool, shards));
-    benchmark::DoNotOptimize(forest.Total());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(kForestK));
-  state.counters["K"] = static_cast<double>(kForestK);
-  state.counters["shards"] = static_cast<double>(shards);
-  state.SetLabel("K=1000000 shards=" + std::to_string(shards));
-}
-BENCHMARK(BM_BlockForestRebuild)->Arg(1)->Arg(8)->UseRealTime();
 
 /// Batched OASIS stepping: each bench iteration performs range(1) fused
 /// steps through StepBatch, amortising dispatch and validation.
@@ -578,7 +464,7 @@ BENCHMARK(BM_RemoteOraclePrefetch)->Arg(2048);
 /// faults fired), 2: + RetryingOracle on top (full retry/breaker machinery,
 /// single attempt per batch). The gap between rows is pure decorator
 /// overhead — no fault ever fires, no retry ever happens — and bounds what
-/// `RunnerOptions::retry_policy` costs a fault-free experiment. main()
+/// `RunnerOptions::stack.retry` costs a fault-free experiment. main()
 /// derives `retry_stack_overhead_pct` from rows 0 and 2.
 void BM_RetryOverhead(benchmark::State& state) {
   const int64_t depth = state.range(0);

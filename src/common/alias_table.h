@@ -16,15 +16,13 @@ namespace oasis {
 /// Construction is O(n). This is the production sampling backend for static
 /// distributions: the per-item instrumental of the static importance sampler
 /// over large pair pools, and the stratum-weight mixture component of the
-/// OASIS kFenwick step path. Table 3 of Marchant & Rubinstein (PVLDB 2017)
+/// OASIS kAlias step path. Table 3 of Marchant & Rubinstein (PVLDB 2017)
 /// reports static-IS per-iteration CPU time an order of magnitude above the
 /// other methods and growing with pool size — the cost of the O(n)
 /// linear-scan draw this table replaces (`bench/table3_runtime.cc`
 /// reproduces that shape with both backends). For distributions whose
-/// weights change between draws, see the dynamic sibling FenwickTree
-/// (O(log n) update/draw vs the O(n) rebuild an alias table would need) —
-/// or, when drifts are rare enough to amortise, Rebuild() below refreshes
-/// this table in place without allocating (the OASIS kAlias step path).
+/// weights drift rarely enough to amortise, Rebuild() below refreshes this
+/// table in place without allocating (the OASIS kAlias step path).
 ///
 /// Capacity: alias slots are stored as uint32_t, so a table holds at most
 /// 2^32 - 1 categories; Build rejects larger inputs explicitly rather than

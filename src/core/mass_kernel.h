@@ -20,9 +20,9 @@ namespace oasis {
 /// correctly-rounded mul/add/sub/sqrt operations, so the output is
 /// bit-identical to the scalar loop at every element for every build flavour
 /// — which is what lets the fused step path stay bit-for-bit equal to the
-/// allocating reference path (tests/step_path_equivalence via
-/// oasis_test/fenwick_step_path_test). No FMA contraction is ever used: a
-/// fused multiply-add rounds once where the scalar formula rounds twice.
+/// allocating reference path (tests/step_batch_test.cc). No FMA contraction
+/// is ever used: a fused multiply-add rounds once where the scalar formula
+/// rounds twice.
 ///
 /// Any reduction over v (the total mass) is deliberately left to the caller
 /// as a scalar, in-order loop: summation order is part of the bit-identity

@@ -15,7 +15,7 @@ namespace oasis {
 
 namespace {
 
-/// Per-step bookkeeping shared by all four step paths. The step counter is
+/// Per-step bookkeeping shared by every step path. The step counter is
 /// always cheap; the weight histogram is detail-only (an extra bucket search
 /// per step would be measurable on the fused path).
 inline void RecordOasisStepTelemetry(double weight) {
@@ -82,11 +82,10 @@ Result<std::unique_ptr<OasisSampler>> OasisSampler::Create(
         "OasisSampler: epsilon must lie in (0, 1] (Remark 5: epsilon = 0 "
         "forfeits consistency)");
   }
-  if (std::isnan(options.fenwick_rebuild_tol) ||
-      std::isinf(options.fenwick_rebuild_tol) ||
-      options.fenwick_rebuild_tol < 0.0) {
+  if (std::isnan(options.alias_drift_tol) ||
+      std::isinf(options.alias_drift_tol) || options.alias_drift_tol < 0.0) {
     return Status::InvalidArgument(
-        "OasisSampler: fenwick_rebuild_tol must be finite and >= 0");
+        "OasisSampler: alias_drift_tol must be finite and >= 0");
   }
   if (options.degrade_on_degeneracy &&
       (std::isnan(options.degraded_epsilon) || options.degraded_epsilon <= 0.0 ||
@@ -116,22 +115,8 @@ Result<std::unique_ptr<OasisSampler>> OasisSampler::Create(
   std::unique_ptr<OasisSampler> sampler(
       new OasisSampler(pool, labels, std::move(strata), resolved, rng,
                        std::move(model), std::move(init.lambda), init.f_alpha));
-  switch (resolved.step_path) {
-    case OasisStepPath::kFenwick:
-      OASIS_RETURN_NOT_OK(sampler->InitFenwick());
-      break;
-    case OasisStepPath::kAlias:
-      OASIS_RETURN_NOT_OK(sampler->InitAlias());
-      break;
-    case OasisStepPath::kShardedFenwick:
-      if (resolved.num_shards == 0) {
-        return Status::InvalidArgument("OasisSampler: num_shards must be >= 1");
-      }
-      OASIS_RETURN_NOT_OK(sampler->InitShardedFenwick());
-      break;
-    case OasisStepPath::kFused:
-    case OasisStepPath::kAllocatingReference:
-      break;
+  if (resolved.step_path == OasisStepPath::kAlias) {
+    OASIS_RETURN_NOT_OK(sampler->InitAlias());
   }
   return sampler;
 }
@@ -149,14 +134,6 @@ Result<std::unique_ptr<OasisSampler>> OasisSampler::CreateWithCsf(
                 options, rng);
 }
 
-double OasisSampler::FenwickMixtureProbability(size_t k, double total) const {
-  const double omega_k = strata_->weight(k);
-  return total > 0.0 ? active_epsilon_ * omega_k +
-                           (1.0 - active_epsilon_) *
-                               (v_star_tree_.value(k) / total)
-                     : omega_k;
-}
-
 double OasisSampler::StratumMass(size_t k, double f) const {
   const double pi = pi_cache_[k];
   const double not_pred = c_not_pred_[k] * f * sqrt_pi_cache_[k];
@@ -164,86 +141,6 @@ double OasisSampler::StratumMass(size_t k, double f) const {
       lambda_[k] * std::sqrt(alpha_sq_ * f * f * (1.0 - pi) +
                              (1.0 - f) * (1.0 - f) * pi);
   return strata_->weight(k) * (not_pred + pred);
-}
-
-void OasisSampler::RebuildFenwickMasses(double f) {
-  const size_t num_strata = strata_->num_strata();
-  const double a2f2 = alpha_sq_ * f * f;
-  const double omf2 = (1.0 - f) * (1.0 - f);
-  StratumMassKernel(strata_->weights().data(), lambda_.data(), pi_cache_.data(),
-                    sqrt_pi_cache_.data(), c_not_pred_.data(), f, a2f2, omf2,
-                    v_scratch_.data(), num_strata);
-  OASIS_CHECK_OK(v_star_tree_.Rebuild(v_scratch_));
-  tree_f_ = f;
-}
-
-Status OasisSampler::InitFenwick() {
-  OASIS_ASSIGN_OR_RETURN(weights_alias_, AliasTable::Build(strata_->weights()));
-  OASIS_ASSIGN_OR_RETURN(v_star_tree_,
-                         FenwickTree::Build(strata_->weights()));  // Sized; masses set below.
-  RebuildFenwickMasses(Clamp(estimator_.FAlphaOr(initial_f_), 0.0, 1.0));
-  return Status::OK();
-}
-
-Status OasisSampler::StepFenwick() {
-  // Line 3 analogue: keep the maintained masses while F-hat stays within
-  // fenwick_rebuild_tol of the value they were built with; otherwise refresh
-  // them all at O(K). The per-stratum posterior drift is already folded in by
-  // the Update at the end of each step, so between rebuilds the tree is
-  // exactly v*(pi(t), tree_f_).
-  const double f = Clamp(estimator_.FAlphaOr(initial_f_), 0.0, 1.0);
-  const double drift = std::fabs(f - tree_f_);
-  if (drift > options_.fenwick_rebuild_tol) {
-    if (OASIS_TELEMETRY_ON) {
-      static telemetry::Counter& rebuilds =
-          telemetry::DefaultRegistry().AddCounter(
-              "oasis_sampler_fenwick_rebuilds_total",
-              "Full O(K) Fenwick mass rebuilds triggered by F-hat drift.");
-      static telemetry::Histogram& drift_hist =
-          telemetry::DefaultRegistry().AddHistogram(
-              "oasis_sampler_fenwick_rebuild_drift",
-              "|F-hat - tree F| observed at each Fenwick rebuild.",
-              {1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.25});
-      rebuilds.Increment();
-      drift_hist.Observe(drift);
-    }
-    RebuildFenwickMasses(f);
-  }
-
-  // Lines 4-5: the epsilon-greedy mix is sampled as a literal two-component
-  // mixture — with probability epsilon a stratum ~ omega from the O(1) alias
-  // table, otherwise ~ v*/total from the O(log K) Fenwick inverse CDF — then
-  // an item uniform within the stratum. When every mass degenerates to zero
-  // both components collapse to omega (same fallback as the other paths).
-  const double total = v_star_tree_.Total();
-  size_t k;
-  if (total <= 0.0 || rng().NextDouble() < active_epsilon_) {
-    k = weights_alias_.Sample(rng());
-  } else {
-    k = v_star_tree_.FindQuantile(rng().NextDouble() * total);
-  }
-  const int64_t item = strata_->SampleItem(k, rng());
-
-  // Line 6: w_t = omega_k / v_k with v_k of the distribution the draw above
-  // actually used — this is what keeps the estimator consistent for any
-  // rebuild tolerance (full support comes from the epsilon component).
-  const double weight = strata_->weight(k) / FenwickMixtureProbability(k, total);
-
-  // Lines 7-8: query oracle, read prediction.
-  OASIS_ASSIGN_OR_RETURN(const bool label, QueryLabel(item));
-  const bool prediction = pool().predictions[static_cast<size_t>(item)] != 0;
-
-  // Lines 9-11: posterior update and AIS sums. Only stratum k's posterior
-  // mean moved, so one O(log K) point update keeps the tree exact under the
-  // build-point F.
-  ObserveLabel(k, label);
-  v_star_tree_.Update(k, StratumMass(k, tree_f_));
-  estimator_.Add(weight, label, prediction);
-  if (observer_) observer_(weight, label, prediction);
-  monitor_.Observe(weight);
-  RecordOasisStepTelemetry(weight);
-  MaybeDegrade();
-  return Status::OK();
 }
 
 double OasisSampler::AliasMixtureProbability(size_t k) const {
@@ -293,17 +190,17 @@ Status OasisSampler::InitAlias() {
 Status OasisSampler::StepAlias() {
   // Line 3 analogue: the alias table is a frozen snapshot of v*, so two
   // things drift — F-hat away from the build point, and the posterior masses
-  // away from the snapshot (the table cannot absorb kFenwick's per-stratum
-  // point updates). Rebuild in place (O(K), no allocation) when EITHER drift
-  // crosses fenwick_rebuild_tol; in the degenerate all-zero state, rebuild as
+  // away from the snapshot (the table cannot absorb per-stratum point
+  // updates). Rebuild in place (O(K), no allocation) when EITHER drift
+  // crosses alias_drift_tol; in the degenerate all-zero state, rebuild as
   // soon as any mass becomes positive.
   const double f = Clamp(estimator_.FAlphaOr(initial_f_), 0.0, 1.0);
   const double f_drift = std::fabs(f - alias_f_);
   const bool mass_drifted =
       alias_degenerate_
           ? alias_drift_ > 0.0
-          : alias_drift_ > options_.fenwick_rebuild_tol * alias_total_;
-  if (f_drift > options_.fenwick_rebuild_tol || mass_drifted) {
+          : alias_drift_ > options_.alias_drift_tol * alias_total_;
+  if (f_drift > options_.alias_drift_tol || mass_drifted) {
     if (OASIS_TELEMETRY_ON) {
       static telemetry::Counter& rebuilds =
           telemetry::DefaultRegistry().AddCounter(
@@ -350,95 +247,6 @@ Status OasisSampler::StepAlias() {
                   std::fabs(alias_live_mass_[k] - alias_snapshot_mass_[k]);
   if (alias_drift_ < 0.0) alias_drift_ = 0.0;  // FP cancellation guard.
   alias_live_mass_[k] = new_live;
-  estimator_.Add(weight, label, prediction);
-  if (observer_) observer_(weight, label, prediction);
-  monitor_.Observe(weight);
-  RecordOasisStepTelemetry(weight);
-  MaybeDegrade();
-  return Status::OK();
-}
-
-double OasisSampler::ShardedMixtureProbability(size_t k, double total) const {
-  const double omega_k = strata_->weight(k);
-  return total > 0.0 ? active_epsilon_ * omega_k +
-                           (1.0 - active_epsilon_) *
-                               (v_star_forest_.value(k) / total)
-                     : omega_k;
-}
-
-void OasisSampler::RebuildShardedMasses(double f) {
-  const double a2f2 = alpha_sq_ * f * f;
-  const double omf2 = (1.0 - f) * (1.0 - f);
-  const double* weights = strata_->weights().data();
-  const double* lambda = lambda_.data();
-  const double* pi = pi_cache_.data();
-  const double* sqrt_pi = sqrt_pi_cache_.data();
-  const double* c_not_pred = c_not_pred_.data();
-  // The fill is strictly elementwise — out[j] depends on the global index
-  // begin + j alone — so ParallelRebuildWith's bit-identity guarantee
-  // extends to the mass computation: any shard/thread count produces the
-  // same forest, bit for bit.
-  OASIS_CHECK_OK(v_star_forest_.ParallelRebuildWith(
-      [&](size_t begin, std::span<double> out) {
-        StratumMassKernel(weights + begin, lambda + begin, pi + begin,
-                          sqrt_pi + begin, c_not_pred + begin, f, a2f2, omf2,
-                          out.data(), out.size());
-      },
-      options_.shard_pool, options_.num_shards));
-  forest_f_ = f;
-}
-
-Status OasisSampler::InitShardedFenwick() {
-  OASIS_ASSIGN_OR_RETURN(weights_alias_, AliasTable::Build(strata_->weights()));
-  OASIS_ASSIGN_OR_RETURN(
-      v_star_forest_,
-      BlockFenwickForest::Build(strata_->weights(),
-                                options_.shard_block_size));  // Sized; masses set below.
-  RebuildShardedMasses(Clamp(estimator_.FAlphaOr(initial_f_), 0.0, 1.0));
-  return Status::OK();
-}
-
-Status OasisSampler::StepShardedFenwick() {
-  // Identical to StepFenwick except the masses live in the blocked forest:
-  // the O(K) drift rebuild shards across options_.shard_pool, draws and the
-  // per-step point update stay O(log K).
-  const double f = Clamp(estimator_.FAlphaOr(initial_f_), 0.0, 1.0);
-  const double drift = std::fabs(f - forest_f_);
-  if (drift > options_.fenwick_rebuild_tol) {
-    if (OASIS_TELEMETRY_ON) {
-      static telemetry::Counter& rebuilds =
-          telemetry::DefaultRegistry().AddCounter(
-              "oasis_sampler_sharded_rebuilds_total",
-              "Full O(K) sharded forest mass rebuilds triggered by F-hat "
-              "drift.");
-      static telemetry::Histogram& drift_hist =
-          telemetry::DefaultRegistry().AddHistogram(
-              "oasis_sampler_sharded_rebuild_drift",
-              "|F-hat - forest F| observed at each sharded rebuild.",
-              {1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.25});
-      rebuilds.Increment();
-      drift_hist.Observe(drift);
-    }
-    RebuildShardedMasses(f);
-  }
-
-  const double total = v_star_forest_.Total();
-  size_t k;
-  if (total <= 0.0 || rng().NextDouble() < active_epsilon_) {
-    k = weights_alias_.Sample(rng());
-  } else {
-    k = v_star_forest_.FindQuantile(rng().NextDouble() * total);
-  }
-  const int64_t item = strata_->SampleItem(k, rng());
-
-  const double weight =
-      strata_->weight(k) / ShardedMixtureProbability(k, total);
-
-  OASIS_ASSIGN_OR_RETURN(const bool label, QueryLabel(item));
-  const bool prediction = pool().predictions[static_cast<size_t>(item)] != 0;
-
-  ObserveLabel(k, label);
-  v_star_forest_.Update(k, StratumMass(k, forest_f_));
   estimator_.Add(weight, label, prediction);
   if (observer_) observer_(weight, label, prediction);
   monitor_.Observe(weight);
@@ -631,12 +439,8 @@ Status OasisSampler::Step() {
   switch (options_.step_path) {
     case OasisStepPath::kAllocatingReference:
       return StepAllocatingReference();
-    case OasisStepPath::kFenwick:
-      return StepFenwick();
     case OasisStepPath::kAlias:
       return StepAlias();
-    case OasisStepPath::kShardedFenwick:
-      return StepShardedFenwick();
     case OasisStepPath::kFused:
       break;
   }
@@ -669,19 +473,9 @@ Status OasisSampler::StepBatch(int64_t n) {
         OASIS_RETURN_NOT_OK(StepAllocatingReference());
       }
       return Status::OK();
-    case OasisStepPath::kFenwick:
-      for (int64_t i = 0; i < n; ++i) {
-        OASIS_RETURN_NOT_OK(StepFenwick());
-      }
-      return Status::OK();
     case OasisStepPath::kAlias:
       for (int64_t i = 0; i < n; ++i) {
         OASIS_RETURN_NOT_OK(StepAlias());
-      }
-      return Status::OK();
-    case OasisStepPath::kShardedFenwick:
-      for (int64_t i = 0; i < n; ++i) {
-        OASIS_RETURN_NOT_OK(StepShardedFenwick());
       }
       return Status::OK();
     case OasisStepPath::kFused:
@@ -697,20 +491,6 @@ EstimateSnapshot OasisSampler::Estimate() const { return estimator_.Snapshot(); 
 
 std::string OasisSampler::name() const {
   return "OASIS-" + std::to_string(strata_->num_strata());
-}
-
-Result<std::vector<double>> OasisSampler::FenwickInstrumental() const {
-  if (options_.step_path != OasisStepPath::kFenwick) {
-    return Status::FailedPrecondition(
-        "FenwickInstrumental: sampler does not run the kFenwick step path");
-  }
-  const size_t num_strata = strata_->num_strata();
-  const double total = v_star_tree_.Total();
-  std::vector<double> v(num_strata);
-  for (size_t k = 0; k < num_strata; ++k) {
-    v[k] = FenwickMixtureProbability(k, total);
-  }
-  return v;
 }
 
 Result<std::vector<double>> OasisSampler::AliasInstrumental() const {

@@ -7,9 +7,6 @@
 #include <vector>
 
 #include "common/alias_table.h"
-#include "common/block_fenwick_forest.h"
-#include "common/fenwick_tree.h"
-#include "common/thread_pool.h"
 #include "core/ais_estimator.h"
 #include "core/bayesian_model.h"
 #include "sampling/sampler.h"
@@ -21,57 +18,34 @@ namespace oasis {
 
 /// Which Step() implementation OasisSampler runs. kFused and
 /// kAllocatingReference produce bit-identical sampling sequences from the
-/// same seed (the fused path is simply faster); kFenwick samples from the
-/// same instrumental distribution up to a configurable F-staleness tolerance
-/// but consumes the RNG differently, so it is equivalent in distribution
-/// rather than bit-for-bit (tests/fenwick_step_path_test.cc verifies both
-/// the distributional match and estimator consistency).
+/// same seed (the fused path is simply faster); kAlias samples from the same
+/// instrumental distribution up to a configurable staleness tolerance but
+/// consumes the RNG differently, so it is equivalent in distribution rather
+/// than bit-for-bit (tests/alias_step_path_test.cc verifies both the
+/// distributional match and estimator consistency).
 enum class OasisStepPath {
   /// Zero-allocation fused O(K) scan over precomputed per-stratum constants
-  /// and an incrementally-maintained posterior-mean cache. The default.
+  /// and an incrementally-maintained posterior-mean cache: the exact v(t) of
+  /// Algorithm 3 on every step. The default.
   kFused,
   /// The original allocating path (PosteriorMeans + OptimalStratified-
   /// Instrumental + EpsilonGreedyMix, one vector each per step). Kept as the
   /// reference implementation for equivalence tests and as the benchmark
-  /// baseline the fused path is measured against.
+  /// baseline the fused path is measured against; not a user option.
   kAllocatingReference,
-  /// Sub-linear draws: an incrementally-maintained Fenwick tree over the
-  /// unnormalised v* masses gives O(log K) single-stratum updates and
-  /// O(log K) inverse-CDF draws, with the epsilon-greedy mix realised as a
-  /// two-component mixture (a static alias table over the stratum weights
-  /// for the epsilon branch). Only the observed stratum's mass is refreshed
-  /// per step; a full O(K) rebuild happens only when F-hat has drifted more
-  /// than OasisOptions::fenwick_rebuild_tol since the masses were last
-  /// computed. Because F-hat converges (Theorem 3), rebuilds become rare and
-  /// the amortised per-step cost is O(log K) — the path to prefer when K is
-  /// large (roughly K >= 1000; see docs/ARCHITECTURE.md).
-  kFenwick,
   /// O(1) draws: a Walker/Vose alias table over the unnormalised v* masses,
   /// rebuilt in place (O(K), zero allocation) only when the instrumental has
-  /// drifted — either F-hat moved more than fenwick_rebuild_tol since the
-  /// table was built, or the accumulated L1 posterior-mass drift across
-  /// observed strata exceeds that same fraction of the table's total mass.
-  /// Between rebuilds the table is a frozen snapshot, so unlike kFenwick the
-  /// observed stratum's own mass also goes stale — the dual drift gate bounds
-  /// both sources. Estimates stay consistent at ANY tolerance (importance
+  /// drifted — either F-hat moved more than alias_drift_tol since the table
+  /// was built, or the accumulated L1 posterior-mass drift across observed
+  /// strata exceeds that same fraction of the table's total mass. Between
+  /// rebuilds the table is a frozen snapshot; the dual drift gate bounds its
+  /// staleness. Estimates stay consistent at ANY tolerance (importance
   /// weights use the mixture actually sampled, full support via the epsilon
   /// mix); the tolerance only prices staleness of the instrumental
-  /// (variance). Distribution-equivalent to kFused/kFenwick, not bit-equal
-  /// (tests/alias_step_path_test.cc). Prefer at very large K (roughly
-  /// K >= 100k) where even O(log K) per draw shows up; see
-  /// docs/BENCHMARKING.md for the Fenwick-vs-alias race.
+  /// (variance). Distribution-equivalent to kFused, not bit-equal
+  /// (tests/alias_step_path_test.cc). The path to prefer when K is large
+  /// (roughly K >= 1000; see docs/ARCHITECTURE.md).
   kAlias,
-  /// kFenwick with the tree sharded into fixed 2^n-sized blocks
-  /// (BlockFenwickForest): the O(K) drift rebuilds recompute block masses in
-  /// parallel on OasisOptions::shard_pool while draws and single-stratum
-  /// updates stay O(log K). The numeric summation layout is a function of
-  /// shard_block_size alone — num_shards and the pool's thread count only
-  /// schedule work — so results are bit-identical at any shard/thread count
-  /// (tests/sharded_pool_test.cc pins this with golden hexfloat curves).
-  /// NOT bit-equal to kFenwick (the blocked tree rounds its partial sums
-  /// differently), but equivalent in distribution. Prefer at K >= 100k when
-  /// a ThreadPool is available to absorb rebuild latency.
-  kShardedFenwick,
 };
 
 /// Tunables of Algorithm 3. Defaults follow the paper's experiments
@@ -89,35 +63,18 @@ struct OasisOptions {
   bool decay_prior = true;
   /// Hot-path selection; see OasisStepPath.
   OasisStepPath step_path = OasisStepPath::kFused;
-  /// Drift gate of every rebuild-on-drift path (kFenwick, kShardedFenwick,
-  /// kAlias): how far |F-hat| may drift from the value the maintained masses
-  /// were computed with before a full O(K) rebuild is forced. For kAlias the
-  /// same tolerance additionally gates the accumulated L1 posterior-mass
-  /// drift (as a fraction of the table's total mass), since the alias
-  /// snapshot cannot absorb single-stratum updates. 0 means rebuild whenever
-  /// anything changed at all (the exact v(t) at O(K) on almost every early
-  /// step); larger values trade a bounded staleness of the instrumental for
-  /// cheap steps. Estimates stay consistent for ANY tolerance because
-  /// importance weights always use the distribution actually sampled from,
-  /// which keeps full support via the epsilon mix — the tolerance only
-  /// affects how close the instrumental is to the optimum (variance), never
-  /// correctness. Must be finite and >= 0.
-  double fenwick_rebuild_tol = 1e-2;
-  /// kShardedFenwick only: scheduling shard count for the parallel O(K)
-  /// rebuilds. Purely a work-partitioning knob — results are bit-identical
-  /// for any value (>= 1). Ignored (serial rebuilds) when shard_pool is
-  /// null.
-  size_t num_shards = 1;
-  /// kShardedFenwick only: pool the drift rebuilds are sharded onto. The
-  /// pool must outlive the sampler. Null runs rebuilds serially on the
-  /// calling thread (still over the blocked layout, so results match the
-  /// pooled run bit-for-bit).
-  ThreadPool* shard_pool = nullptr;
-  /// kShardedFenwick only: numeric block size of the BlockFenwickForest.
-  /// This — and only this — fixes the floating-point summation layout, so
-  /// changing it changes results (bitwise); changing num_shards or the
-  /// pool's thread count never does. Must be a power of two.
-  size_t shard_block_size = 4096;
+  /// kAlias only: how far the alias snapshot may drift from the live
+  /// instrumental before a full O(K) rebuild is forced. Gates both |F-hat|
+  /// drift from the value the table was built with and the accumulated L1
+  /// posterior-mass drift (as a fraction of the table's total mass). 0 means
+  /// rebuild whenever anything changed at all (the exact v(t) at O(K) on
+  /// almost every early step); larger values trade a bounded staleness of the
+  /// instrumental for cheap steps. Estimates stay consistent for ANY
+  /// tolerance because importance weights always use the distribution
+  /// actually sampled from, which keeps full support via the epsilon mix —
+  /// the tolerance only affects how close the instrumental is to the optimum
+  /// (variance), never correctness. Must be finite and >= 0.
+  double alias_drift_tol = 1e-2;
   /// Thresholds of the always-on importance-weight health monitor (see
   /// DegeneracyMonitor; diagnostics are collected regardless of
   /// degrade_on_degeneracy).
@@ -196,15 +153,6 @@ class OasisSampler : public Sampler {
   /// every step path tracks.
   Result<std::vector<double>> CurrentInstrumental() const;
 
-  /// kFenwick only: the distribution the next Fenwick draw would actually
-  /// use, i.e. epsilon * omega + (1 - epsilon) * (Fenwick mass / total) with
-  /// the masses as maintained (possibly computed under an F within
-  /// fenwick_rebuild_tol of the live one, and before any rebuild the next
-  /// step might trigger). Fails when the sampler does not run the kFenwick
-  /// path. Used by the equivalence tests to bound the staleness gap against
-  /// CurrentInstrumental().
-  Result<std::vector<double>> FenwickInstrumental() const;
-
   /// kAlias only: the distribution the next alias draw would actually use,
   /// i.e. epsilon * omega + (1 - epsilon) * alias-table probabilities — the
   /// frozen snapshot from the last rebuild, before any rebuild the next step
@@ -253,13 +201,8 @@ class OasisSampler : public Sampler {
   /// The original allocating iteration, kept as reference and benchmark
   /// baseline (OasisStepPath::kAllocatingReference).
   Status StepAllocatingReference();
-  /// The O(log K) Fenwick-tree iteration (OasisStepPath::kFenwick).
-  Status StepFenwick();
   /// The O(1) alias-table iteration (OasisStepPath::kAlias).
   Status StepAlias();
-  /// The sharded-rebuild Fenwick-forest iteration
-  /// (OasisStepPath::kShardedFenwick).
-  Status StepShardedFenwick();
   /// The degraded-mode iteration: draw from the frozen instrumental
   /// distribution, weight against it (full support — consistency holds),
   /// keep posterior and diagnostics updating.
@@ -270,26 +213,13 @@ class OasisSampler : public Sampler {
   /// Snapshots the current epsilon-greedy instrumental into frozen_v_ (under
   /// the boosted floor) for StepFrozen.
   void CaptureFrozenInstrumental();
-  /// One-time kFenwick setup: the weights alias table and the initial mass
-  /// build. Called from Create() so construction can still fail cleanly.
-  Status InitFenwick();
   /// One-time kAlias setup: the weights alias table, the mass scratch and
-  /// the initial v* alias table. Called from Create().
+  /// the initial v* alias table. Called from Create() so construction can
+  /// still fail cleanly.
   Status InitAlias();
-  /// One-time kShardedFenwick setup: the weights alias table and the initial
-  /// blocked mass build. Called from Create().
-  Status InitShardedFenwick();
   /// Unnormalised v* mass of stratum k under F estimate `f`, with exactly the
   /// factor grouping of the fused scan.
   double StratumMass(size_t k, double f) const;
-  /// Probability of stratum k under the epsilon-greedy mixture the Fenwick
-  /// draw actually samples from (`total` = v_star_tree_.Total(), <= 0 selects
-  /// the degenerate omega fallback). Single source of truth shared by
-  /// StepFenwick's importance weight and FenwickInstrumental.
-  double FenwickMixtureProbability(size_t k, double total) const;
-  /// Recomputes every Fenwick mass under `f` in O(K) (no allocation) and
-  /// records `f` as the build point for the drift check.
-  void RebuildFenwickMasses(double f);
   /// Probability of stratum k under the epsilon-greedy mixture the alias
   /// draw actually samples from (alias_degenerate_ selects the omega
   /// fallback). Single source of truth shared by StepAlias's importance
@@ -299,14 +229,6 @@ class OasisSampler : public Sampler {
   /// built), refreshes the v* alias table in place and resets the drift
   /// accumulators.
   void RebuildAliasMasses(double f);
-  /// Probability of stratum k under the epsilon-greedy mixture the sharded
-  /// Fenwick draw actually samples from (`total` = v_star_forest_.Total(),
-  /// <= 0 selects the degenerate omega fallback).
-  double ShardedMixtureProbability(size_t k, double total) const;
-  /// Recomputes every blocked Fenwick mass under `f`, sharding the O(K) work
-  /// across options_.shard_pool (serially when null). Bit-identical at any
-  /// shard/thread count. Records `f` as the build point.
-  void RebuildShardedMasses(double f);
   /// Records the label in the beta posterior and refreshes the incremental
   /// caches for the observed stratum (the only one whose mean can change).
   void ObserveLabel(size_t stratum, bool label);
@@ -345,17 +267,10 @@ class OasisSampler : public Sampler {
   std::vector<double> c_not_pred_;
   // alpha^2, precomputed once.
   double alpha_sq_ = 0.0;
-  // --- Fenwick-path state ------------------------------------------------
-  // Unnormalised v* masses, maintained incrementally: Update for the one
-  // observed stratum per step, Rebuild only when F-hat drifts past
-  // fenwick_rebuild_tol. Empty unless step_path == kFenwick.
-  FenwickTree v_star_tree_;
+  // --- Alias-path state --------------------------------------------------
   // Static O(1) sampler over the stratum weights omega — the epsilon branch
   // of the mixture and the degenerate all-zero-mass fallback.
   AliasTable weights_alias_;
-  // F-hat the Fenwick masses were last (re)built with; < 0 until InitFenwick.
-  double tree_f_ = -1.0;
-  // --- Alias-path state --------------------------------------------------
   // Frozen O(1) sampler over the unnormalised v* masses; rebuilt in place on
   // drift. Empty unless step_path == kAlias.
   AliasTable v_alias_;
@@ -374,13 +289,6 @@ class OasisSampler : public Sampler {
   double alias_drift_ = 0.0;
   // True when the last rebuild found all-zero masses (the omega fallback).
   bool alias_degenerate_ = false;
-  // --- Sharded-Fenwick-path state ----------------------------------------
-  // Blocked v* masses for parallel rebuilds. Empty unless step_path ==
-  // kShardedFenwick.
-  BlockFenwickForest v_star_forest_;
-  // F-hat the forest masses were last (re)built with; < 0 until
-  // InitShardedFenwick.
-  double forest_f_ = -1.0;
 };
 
 }  // namespace oasis

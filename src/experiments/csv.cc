@@ -121,7 +121,7 @@ Status WriteCurvesCsv(const std::string& path,
   // oracle, three extra columns carry the mean cumulative round trips,
   // simulated latency (seconds) and monetary label cost at each checkpoint;
   // curves without cost data leave those cells empty. Fault-tolerant runs
-  // (RunnerOptions::retry_policy) add mean cumulative retries/give_ups
+  // (RunnerOptions::stack.retry) add mean cumulative retries/give_ups
   // columns the same way, and samplers with a degeneracy monitor add a mean
   // per-checkpoint ESS column. Without any of those, the header and rows are
   // the historical six columns, unchanged.

@@ -75,12 +75,12 @@ struct RepeatSlots {
   /// 1 when F-hat was defined at that (repeat, checkpoint).
   std::vector<uint8_t> defined;
   /// Remote-oracle cost per (repeat, checkpoint); allocated only when the
-  /// run prices labels (RunnerOptions::remote_oracle).
+  /// run prices labels (RunnerOptions::stack.remote).
   std::vector<double> round_trips;
   std::vector<double> simulated_seconds;
   std::vector<double> label_cost;
   /// Retry recovery per (repeat, checkpoint); allocated only when the run
-  /// retries failures (RunnerOptions::retry_policy).
+  /// retries failures (RunnerOptions::stack.retry).
   std::vector<double> retries;
   std::vector<double> give_ups;
   /// Effective sample size per (repeat, checkpoint); always allocated (cheap)
@@ -169,15 +169,8 @@ Status RunOneRepeat(const MethodSpec& method, const ScoredPool& pool,
 
 StackSpec EffectiveStackSpec(const RunnerOptions& options) {
   StackSpec spec = options.stack;
-  if (!spec.fault_injection.has_value()) {
-    spec.fault_injection = options.fault_injection;
-  }
-  if (!spec.remote.has_value()) spec.remote = options.remote_oracle;
-  if (!spec.retry.has_value()) spec.retry = options.retry_policy;
-  // Sharing is meaningful only with a wire to share; normalising here keeps
-  // the historical tolerance for remote_share_labels without remote_oracle.
-  spec.share_labels = spec.remote.has_value() &&
-                      (spec.share_labels || options.remote_share_labels);
+  // Sharing is meaningful only with a wire to share.
+  spec.share_labels = spec.remote.has_value() && spec.share_labels;
   return spec;
 }
 

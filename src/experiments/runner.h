@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -12,11 +11,8 @@
 #include "common/thread_pool.h"
 #include "core/oasis.h"
 #include "experiments/config.h"
-#include "oracle/fault_injecting_oracle.h"
 #include "oracle/oracle.h"
 #include "oracle/oracle_stack.h"
-#include "oracle/remote_oracle.h"
-#include "oracle/retry_policy.h"
 #include "sampling/importance.h"
 #include "sampling/passive.h"
 #include "sampling/sampler.h"
@@ -74,7 +70,7 @@ struct ErrorCurve {
   /// Number of repeats aggregated.
   int repeats = 0;
 
-  /// True when the run priced labels through RunnerOptions::remote_oracle:
+  /// True when the run priced labels through RunnerOptions::stack.remote:
   /// the three cost series below are populated (same length as budgets) and
   /// give alternative x axes — error against simulated round trips, hours,
   /// or dollars instead of bare label counts.
@@ -86,7 +82,7 @@ struct ErrorCurve {
   /// Mean (over repeats) cumulative monetary label cost.
   std::vector<double> mean_label_cost;
 
-  /// True when the run retried oracle failures (RunnerOptions::retry_policy):
+  /// True when the run retried oracle failures (RunnerOptions::stack.retry):
   /// the two recovery series below are populated (same length as budgets) —
   /// how much repair work the fault-tolerant stack did to deliver the error
   /// statistics above (docs/FAULT_MODEL.md).
@@ -170,26 +166,14 @@ struct RunnerOptions {
   ///    charged into the repeat's remote clock when present); the ErrorCurve
   ///    carries retries/give_ups columns (has_fault_stats).
   StackSpec stack;
-  /// DEPRECATED alias of stack.remote — merged by EffectiveStackSpec (the
-  /// alias applies only when stack.remote is unset). Prefer `stack`.
-  std::optional<RemoteOracleOptions> remote_oracle;
-  /// DEPRECATED alias of stack.share_labels (ORed in). Prefer `stack`.
-  bool remote_share_labels = false;
-  /// DEPRECATED alias of stack.fault_injection — merged by
-  /// EffectiveStackSpec when stack.fault_injection is unset. Prefer `stack`.
-  std::optional<FaultInjectionOptions> fault_injection;
-  /// DEPRECATED alias of stack.retry — merged by EffectiveStackSpec when
-  /// stack.retry is unset. Prefer `stack`.
-  std::optional<RetryPolicy> retry_policy;
   /// Observability of this run (metrics, spans, heartbeat). Observe-only —
   /// never affects the returned curve.
   RunnerTelemetryOptions telemetry;
 };
 
-/// The stack the runner actually builds per repeat: `options.stack` with the
-/// deprecated alias fields (remote_oracle / remote_share_labels /
-/// fault_injection / retry_policy) folded in. A layer set in both places
-/// resolves to the `stack` value.
+/// The stack the runner actually builds per repeat: `options.stack` with
+/// share_labels cleared when there is no remote layer (sharing is meaningful
+/// only with a wire to share).
 StackSpec EffectiveStackSpec(const RunnerOptions& options);
 
 /// Reads a StackSpec from `prefix`-prefixed config keys, leaving absent

@@ -13,6 +13,19 @@
 namespace oasis {
 namespace experiments {
 
+namespace {
+
+/// The user-facing step-path names. The allocating reference path is a test
+/// baseline, not a user option, so it has no name here.
+Result<OasisStepPath> StepPathFromName(const std::string& name) {
+  if (name == "fused") return OasisStepPath::kFused;
+  if (name == "alias") return OasisStepPath::kAlias;
+  return Status::InvalidArgument("unknown step_path '" + name +
+                                 "' (expected fused or alias)");
+}
+
+}  // namespace
+
 Status ScenarioRunOptions::Validate() const {
   if (method != "passive" && method != "stratified" && method != "is" &&
       method != "oasis") {
@@ -39,12 +52,10 @@ Status ScenarioRunOptions::Validate() const {
     return Status::InvalidArgument(
         "ScenarioRunOptions: strata must be positive");
   }
-  if (step_path != "fused" && step_path != "reference" &&
-      step_path != "fenwick" && step_path != "alias" &&
-      step_path != "sharded-fenwick") {
-    return Status::InvalidArgument(
-        "ScenarioRunOptions: unknown step_path '" + step_path +
-        "' (expected fused, reference, fenwick, alias, or sharded-fenwick)");
+  const Result<OasisStepPath> path = StepPathFromName(step_path);
+  if (!path.ok()) {
+    return Status::InvalidArgument("ScenarioRunOptions: " +
+                                   path.status().message());
   }
   return Status::OK();
 }
@@ -76,19 +87,6 @@ Result<ScenarioRunOptions> ScenarioRunOptions::FromConfig(
   return options;
 }
 
-namespace {
-
-Result<OasisStepPath> StepPathFromName(const std::string& name) {
-  if (name == "fused") return OasisStepPath::kFused;
-  if (name == "reference") return OasisStepPath::kAllocatingReference;
-  if (name == "fenwick") return OasisStepPath::kFenwick;
-  if (name == "alias") return OasisStepPath::kAlias;
-  if (name == "sharded-fenwick") return OasisStepPath::kShardedFenwick;
-  return Status::InvalidArgument("unknown step_path '" + name + "'");
-}
-
-}  // namespace
-
 Result<MethodSpec> MakeMethodByName(const std::string& method, double alpha,
                                     const ScoredPool& pool,
                                     int64_t target_strata,
@@ -102,6 +100,15 @@ Result<MethodSpec> MakeMethodByName(const std::string& method, double alpha,
     return MakeImportanceSpec(options);
   }
   if (method == "stratified" || method == "oasis") {
+    // Checked before CSF sizes its histogram from the target (10 bins per
+    // stratum): a stratum count is an outside input (configs, the session
+    // protocol), and a pool cannot hold more non-empty strata than items.
+    if (target_strata <= 0 || target_strata > pool.size()) {
+      return Status::InvalidArgument(
+          "MakeMethodByName: strata must lie in [1, pool size " +
+          std::to_string(pool.size()) + "], got " +
+          std::to_string(target_strata));
+    }
     OASIS_ASSIGN_OR_RETURN(
         Strata strata,
         StratifyCsf(pool.scores, static_cast<size_t>(target_strata),

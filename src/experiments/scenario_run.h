@@ -31,10 +31,9 @@ struct ScenarioRunOptions {
   int num_threads = 0;
   /// Target stratum count for the stratified/oasis methods (CSF).
   int64_t target_strata = 30;
-  /// OASIS step path ("oasis" method only): "fused" (default), "reference",
-  /// "fenwick", "alias", or "sharded-fenwick". The sub-linear paths
-  /// ("fenwick", "alias", "sharded-fenwick") are the practical choice for
-  /// pool-scale runs (target_strata >= 100k); all paths estimate the same
+  /// OASIS step path ("oasis" method only): "fused" (default, the exact
+  /// O(K) step) or "alias" (O(1) draws from a drift-gated snapshot; the
+  /// practical choice for large target_strata). Both estimate the same
   /// quantities (see OasisStepPath).
   std::string step_path = "fused";
   /// Oracle decorator stack built per repeat over the scenario oracle (see
@@ -54,8 +53,9 @@ struct ScenarioRunOptions {
 };
 
 /// Builds a MethodSpec by CLI-facing name. "stratified" and "oasis" stratify
-/// `pool`'s scores with CSF at `target_strata` internally; "passive" and
-/// "is" ignore the stratum count. `step_path` selects the OASIS step path by
+/// `pool`'s scores with CSF at `target_strata` internally, which must lie in
+/// [1, pool.size()] (InvalidArgument otherwise); "passive" and "is" ignore
+/// the stratum count. `step_path` selects the OASIS step path by
 /// the ScenarioRunOptions::step_path names and is ignored by every other
 /// method.
 Result<MethodSpec> MakeMethodByName(const std::string& method, double alpha,

@@ -95,7 +95,7 @@ struct RemoteOracleStats {
 /// `LabelCache::QueryBatch`'s one-round-trip-per-miss-batch contract and the
 /// samplers' batched `StepBatch` fast paths have something real to amortise,
 /// and error curves can be plotted against simulated hours and dollars
-/// instead of bare label counts (see experiments::RunnerOptions::remote_oracle).
+/// instead of bare label counts (see experiments::RunnerOptions::stack.remote).
 ///
 /// Accounting model, per `LabelBatch` call of n items (a single `Label` call
 /// is a batch of one):

@@ -1,6 +1,7 @@
 #include "service/session.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/random.h"
 
@@ -16,6 +17,19 @@ Result<std::unique_ptr<EvalSession>> EvalSession::Create(
   if (spec.checkpoint_every <= 0 || spec.checkpoint_every > spec.budget) {
     return Status::InvalidArgument(
         "EvalSession: checkpoint_every must lie in [1, budget]");
+  }
+  // Both bounds run before anything is sized from the spec: a budget beyond
+  // the pool can never be spent (every label is a distinct item), and the
+  // checkpoint grid is allocated up front.
+  if (spec.budget > pool->size()) {
+    return Status::InvalidArgument(
+        "EvalSession: budget must not exceed the pool size (" +
+        std::to_string(pool->size()) + ")");
+  }
+  if (spec.budget / spec.checkpoint_every > kMaxCheckpoints) {
+    return Status::InvalidArgument(
+        "EvalSession: budget / checkpoint_every must not exceed " +
+        std::to_string(kMaxCheckpoints) + " checkpoints");
   }
   OASIS_ASSIGN_OR_RETURN(
       OracleStack stack,

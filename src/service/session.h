@@ -35,12 +35,19 @@ namespace service {
 /// Not thread-safe: the SessionManager serialises access per session.
 class EvalSession {
  public:
+  /// Most checkpoints one session may request (budget / checkpoint_every).
+  /// The grid and its snapshots are allocated when the session starts, so
+  /// this caps what one start_session request can make the server allocate.
+  static constexpr int64_t kMaxCheckpoints = 10000;
+
   /// Builds a session over the shared backend. `pool` and `oracle` must
   /// outlive the session; `store` (nullable) is the backend's shared label
   /// store, engaged only when spec.stack.share_labels. The session's stack
   /// seeds are forked by spec.stream (OracleStackBuilder::ForkSeeds), its
   /// sampler runs on Rng::Fork(spec.seed, spec.stream) — both exactly the
-  /// batch runner's per-repeat arrangement.
+  /// batch runner's per-repeat arrangement. Fails with InvalidArgument when
+  /// the budget is not in [1, pool size] or the checkpoint grid is not in
+  /// [1, kMaxCheckpoints] entries.
   static Result<std::unique_ptr<EvalSession>> Create(
       int64_t id, const SessionSpec& spec,
       const experiments::MethodSpec& method, const ScoredPool* pool,

@@ -2,10 +2,10 @@
 //  * with rebuild tolerance 0 the alias snapshot is refreshed whenever
 //    anything drifted at all, so the distribution each draw uses tracks
 //    CurrentInstrumental() up to one observation of staleness;
-//  * the long-run stratum-visit distribution matches BOTH the Fenwick and the
-//    fused paths within statistical tolerance — total variation and a
-//    two-sample chi-squared statistic (the paths consume the RNG differently,
-//    so the promise is equality in distribution, not bit-identity);
+//  * the long-run stratum-visit distribution matches the fused path within
+//    statistical tolerance — total variation and a two-sample chi-squared
+//    statistic (the paths consume the RNG differently, so the promise is
+//    equality in distribution, not bit-identity);
 //  * estimates remain consistent at ANY rebuild tolerance, including ones
 //    that leave the snapshot very stale (the epsilon mix keeps full support
 //    and weights are computed against the mixture actually sampled);
@@ -33,7 +33,7 @@
 
 namespace {
 // Global operator new/delete hooks counting heap allocations, toggled around
-// the measured region only (same scheme as fenwick_step_path_test.cc).
+// the measured region only.
 std::atomic<bool> g_count_allocations{false};
 std::atomic<int64_t> g_allocation_count{0};
 }  // namespace
@@ -79,7 +79,7 @@ class AliasStepPathTest : public ::testing::Test {
                                             double rebuild_tol = 1e-2) {
     OasisOptions options;
     options.step_path = path;
-    options.fenwick_rebuild_tol = rebuild_tol;
+    options.alias_drift_tol = rebuild_tol;
     return OasisSampler::Create(&pool_.scored, &labels, strata_, options, Rng(seed))
         .ValueOrDie();
   }
@@ -134,10 +134,10 @@ TEST_F(AliasStepPathTest, RejectsInvalidRebuildTolerance) {
   LabelCache labels(oracle_.get());
   OasisOptions options;
   options.step_path = OasisStepPath::kAlias;
-  options.fenwick_rebuild_tol = -0.5;
+  options.alias_drift_tol = -0.5;
   EXPECT_FALSE(
       OasisSampler::Create(&pool_.scored, &labels, strata_, options, Rng(1)).ok());
-  options.fenwick_rebuild_tol = std::nan("");
+  options.alias_drift_tol = std::nan("");
   EXPECT_FALSE(
       OasisSampler::Create(&pool_.scored, &labels, strata_, options, Rng(1)).ok());
 }
@@ -146,8 +146,8 @@ TEST_F(AliasStepPathTest, AliasInstrumentalRequiresAliasPath) {
   LabelCache labels(oracle_.get());
   auto fused = MakeSampler(OasisStepPath::kFused, 3, labels);
   EXPECT_FALSE(fused->AliasInstrumental().ok());
-  auto fenwick = MakeSampler(OasisStepPath::kFenwick, 4, labels);
-  EXPECT_FALSE(fenwick->AliasInstrumental().ok());
+  auto reference = MakeSampler(OasisStepPath::kAllocatingReference, 4, labels);
+  EXPECT_FALSE(reference->AliasInstrumental().ok());
   auto alias = MakeSampler(OasisStepPath::kAlias, 5, labels);
   EXPECT_TRUE(alias->AliasInstrumental().ok());
 }
@@ -171,43 +171,34 @@ TEST_F(AliasStepPathTest, ZeroToleranceTracksExactInstrumental) {
   EXPECT_NEAR(sum, 1.0, 1e-9);
 }
 
-TEST_F(AliasStepPathTest, VisitDistributionMatchesFenwickAndFusedPaths) {
-  // 20k steps per path. All three draw from the same adaptive distribution
-  // but consume the RNG differently, so compare long-run stratum-visit
-  // histograms: small total variation pairwise, and a two-sample chi-squared
+TEST_F(AliasStepPathTest, VisitDistributionMatchesFusedPath) {
+  // 20k steps per path. Both draw from the same adaptive distribution but
+  // consume the RNG differently, so compare long-run stratum-visit
+  // histograms: small total variation, and a two-sample chi-squared
   // statistic far below gross-mismatch territory (identical distributions
   // give ~chi2(K - 1); a structurally different instrumental gives values in
   // the thousands at this sample size).
   const int kSteps = 20000;
   LabelCache fused_labels(oracle_.get());
-  LabelCache fenwick_labels(oracle_.get());
   LabelCache alias_labels(oracle_.get());
   auto fused = MakeSampler(OasisStepPath::kFused, 11, fused_labels);
-  auto fenwick = MakeSampler(OasisStepPath::kFenwick, 12, fenwick_labels);
   auto alias = MakeSampler(OasisStepPath::kAlias, 14, alias_labels);
   ASSERT_TRUE(fused->StepBatch(kSteps).ok());
-  ASSERT_TRUE(fenwick->StepBatch(kSteps).ok());
   ASSERT_TRUE(alias->StepBatch(kSteps).ok());
 
   const std::vector<double> fused_counts = VisitCounts(*fused);
-  const std::vector<double> fenwick_counts = VisitCounts(*fenwick);
   const std::vector<double> alias_counts = VisitCounts(*alias);
 
   const double tv_vs_fused =
       TotalVariation(Normalized(alias_counts), Normalized(fused_counts));
   EXPECT_LT(tv_vs_fused, 0.05)
       << "total variation alias vs fused: " << tv_vs_fused;
-  const double tv_vs_fenwick =
-      TotalVariation(Normalized(alias_counts), Normalized(fenwick_counts));
-  EXPECT_LT(tv_vs_fenwick, 0.05)
-      << "total variation alias vs fenwick: " << tv_vs_fenwick;
 
-  const double chi2_vs_fenwick =
-      TwoSampleChiSquared(alias_counts, fenwick_counts);
-  EXPECT_LT(chi2_vs_fenwick, 150.0)
-      << "two-sample chi-squared alias vs fenwick: " << chi2_vs_fenwick;
+  const double chi2_vs_fused = TwoSampleChiSquared(alias_counts, fused_counts);
+  EXPECT_LT(chi2_vs_fused, 150.0)
+      << "two-sample chi-squared alias vs fused: " << chi2_vs_fused;
 
-  // And all converge to the same F.
+  // And both converge to the same F.
   const EstimateSnapshot fused_snap = fused->Estimate();
   const EstimateSnapshot alias_snap = alias->Estimate();
   ASSERT_TRUE(fused_snap.f_defined);
@@ -221,7 +212,7 @@ TEST_F(AliasStepPathTest, DefaultToleranceStaysCloseToIdealInstrumental) {
   ASSERT_TRUE(sampler->StepBatch(5000).ok());
   const std::vector<double> actual = sampler->AliasInstrumental().ValueOrDie();
   const std::vector<double> ideal = sampler->CurrentInstrumental().ValueOrDie();
-  // The staleness is bounded by the dual gate: at most fenwick_rebuild_tol of
+  // The staleness is bounded by the dual gate: at most alias_drift_tol of
   // F drift pushed through the v* formula plus the same fraction of the total
   // mass in accumulated posterior drift; an L1 bound of a few multiples of
   // the tolerance catches structural divergence without flaking.
@@ -278,9 +269,9 @@ TEST_F(AliasStepPathTest, StepBatchMatchesStepExactly) {
 TEST_F(AliasStepPathTest, AliasStepPerformsZeroHeapAllocations) {
   LabelCache labels(oracle_.get());
   auto sampler = MakeSampler(OasisStepPath::kAlias, 23, labels);
-  // Warm up: first steps include early-F rebuilds and scratch sizing. Unlike
-  // kFenwick, drift rebuilds KEEP firing in the measured region below — the
-  // in-place Vose refresh over retained scratch must not allocate either.
+  // Warm up: first steps include early-F rebuilds and scratch sizing. Drift
+  // rebuilds KEEP firing in the measured region below — the in-place Vose
+  // refresh over retained scratch must not allocate either.
   ASSERT_TRUE(sampler->StepBatch(64).ok());
 
   g_allocation_count.store(0);

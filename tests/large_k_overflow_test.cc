@@ -2,9 +2,9 @@
 // pool-scale sampling layer must stay correct past one million entries.
 //
 // This is the test half of an int-width audit: every container on the
-// sampling hot path indexes with size_t (FenwickTree, BlockFenwickForest,
-// AliasTable slots are uint32_t with an explicit capacity guard, Strata item
-// ids are int32_t behind an explicit pool-size guard). These tests pin the
+// sampling hot path indexes with size_t (AliasTable slots are uint32_t with
+// an explicit capacity guard, Strata item ids are int32_t behind an explicit
+// pool-size guard). These tests pin the
 // behaviour at K >= 1M — deliberately past every power-of-two boundary a
 // 20-bit or 16-bit intermediate would wrap at — so a future refactor that
 // narrows an index type fails here instead of corrupting estimates silently.
@@ -18,10 +18,7 @@
 #include <vector>
 
 #include "common/alias_table.h"
-#include "common/block_fenwick_forest.h"
-#include "common/fenwick_tree.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "core/oasis.h"
 #include "oracle/ground_truth_oracle.h"
 #include "oracle/label_cache.h"
@@ -48,34 +45,6 @@ std::vector<double> BigMasses() {
   return masses;
 }
 
-TEST(LargeKOverflowTest, FenwickTreeAtAMillionEntries) {
-  const std::vector<double> masses = BigMasses();
-  FenwickTree tree = FenwickTree::Build(masses).ValueOrDie();
-  ASSERT_EQ(tree.size(), kBigN);
-
-  // Exact expected total of the i%7 pattern, accumulated the same way.
-  double total = 0.0;
-  for (size_t i = 0; i < kBigN; ++i) total += MassAt(i);
-  EXPECT_NEAR(tree.Total(), total, total * 1e-12);
-  EXPECT_DOUBLE_EQ(tree.PrefixSum(kBigN), tree.Total());
-  EXPECT_DOUBLE_EQ(tree.value(kBigN - 1), MassAt(kBigN - 1));
-
-  // Point update at the very top of the index range routes through the
-  // high-index parent chain.
-  tree.Update(kBigN - 1, 123.5);
-  EXPECT_DOUBLE_EQ(tree.value(kBigN - 1), 123.5);
-  EXPECT_NEAR(tree.Total(), total - MassAt(kBigN - 1) + 123.5, total * 1e-12);
-
-  // The inverse CDF at (Total - epsilon) must land on a high positive-mass
-  // index, and a mid-range target must land exactly where the prefix sums
-  // say it should.
-  const size_t last = tree.FindQuantile(tree.Total() * (1.0 - 1e-12));
-  EXPECT_EQ(last, kBigN - 1);
-  const size_t mid = tree.FindQuantile(tree.Total() * 0.5);
-  EXPECT_LE(tree.PrefixSum(mid), tree.Total() * 0.5);
-  EXPECT_GT(tree.PrefixSum(mid + 1), tree.Total() * 0.5);
-}
-
 TEST(LargeKOverflowTest, AliasTableAtAMillionEntries) {
   const std::vector<double> masses = BigMasses();
   AliasTable table = AliasTable::Build(masses).ValueOrDie();
@@ -99,33 +68,6 @@ TEST(LargeKOverflowTest, AliasTableAtAMillionEntries) {
     if (k == kBigN - 2) ++spike_hits;
   }
   EXPECT_GT(spike_hits, 1900u);
-}
-
-TEST(LargeKOverflowTest, BlockFenwickForestAtAMillionEntries) {
-  const std::vector<double> masses = BigMasses();
-  BlockFenwickForest forest =
-      BlockFenwickForest::Build(masses, 4096).ValueOrDie();
-  ASSERT_EQ(forest.size(), kBigN);
-  EXPECT_DOUBLE_EQ(forest.value(kBigN - 1), MassAt(kBigN - 1));
-
-  // Update at the last index of the (partial) last block, then route a
-  // quantile there: block selection and within-block descent both cross the
-  // 2^20 boundary.
-  forest.Update(kBigN - 1, 1e6);
-  EXPECT_DOUBLE_EQ(forest.value(kBigN - 1), 1e6);
-  EXPECT_EQ(forest.FindQuantile(forest.Total() * (1.0 - 1e-12)), kBigN - 1);
-
-  // A sharded rebuild at this size must reproduce the serial layout exactly
-  // (spot-checked across the range; the exhaustive bit-identity sweep lives
-  // in sharded_pool_test.cc at smaller sizes).
-  ThreadPool pool(8);
-  ASSERT_TRUE(forest.ParallelRebuild(masses, &pool, 8).ok());
-  BlockFenwickForest serial = BlockFenwickForest::Build(masses, 4096).ValueOrDie();
-  EXPECT_EQ(forest.Total(), serial.Total());
-  for (const size_t i : {size_t{0}, size_t{4095}, size_t{4096}, kBigN / 2,
-                         kBigN - 2, kBigN - 1}) {
-    EXPECT_EQ(forest.value(i), serial.value(i)) << i;
-  }
 }
 
 TEST(LargeKOverflowTest, StrataAtAMillionStrata) {
@@ -169,23 +111,19 @@ TEST(LargeKOverflowTest, OasisSamplerStepsAtAMillionStrata) {
   ASSERT_EQ(strata->num_strata(), size_t{1} << 20);
 
   GroundTruthOracle oracle(pool.truth);
-  for (const OasisStepPath path :
-       {OasisStepPath::kFenwick, OasisStepPath::kAlias,
-        OasisStepPath::kShardedFenwick}) {
-    LabelCache labels(&oracle);
-    OasisOptions options;
-    options.step_path = path;
-    auto sampler =
-        OasisSampler::Create(&pool.scored, &labels, strata, options, Rng(5))
-            .ValueOrDie();
-    for (int i = 0; i < 200; ++i) {
-      ASSERT_TRUE(sampler->Step().ok()) << static_cast<int>(path);
-    }
-    const EstimateSnapshot snap = sampler->Estimate();
-    ASSERT_TRUE(snap.f_defined) << static_cast<int>(path);
-    EXPECT_GE(snap.f_alpha, 0.0);
-    EXPECT_LE(snap.f_alpha, 1.0);
+  LabelCache labels(&oracle);
+  OasisOptions options;
+  options.step_path = OasisStepPath::kAlias;
+  auto sampler =
+      OasisSampler::Create(&pool.scored, &labels, strata, options, Rng(5))
+          .ValueOrDie();
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(sampler->Step().ok());
   }
+  const EstimateSnapshot snap = sampler->Estimate();
+  ASSERT_TRUE(snap.f_defined);
+  EXPECT_GE(snap.f_alpha, 0.0);
+  EXPECT_LE(snap.f_alpha, 1.0);
 }
 
 }  // namespace

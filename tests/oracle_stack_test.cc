@@ -2,8 +2,7 @@
 // oracle decorators (base <- FaultInjecting <- Remote <- Retrying). Locks
 // the composition order, the ForkSeeds decorrelation contract (bit-equal to
 // the experiment runner's historical per-repeat forking), the StackSpec
-// config round-trip, the share-without-remote gate, and the deprecated
-// RunnerOptions aliases' equivalence to the declarative spec.
+// config round-trip and the share-without-remote gate.
 
 #include <gtest/gtest.h>
 
@@ -216,36 +215,10 @@ TEST(OracleStackBuilder, StackSpecConfigRoundTripsValueExactly) {
   EXPECT_TRUE(empty.empty());
 }
 
-TEST(OracleStackBuilder, DeprecatedRunnerAliasesMergeIntoStackSpec) {
-  experiments::RunnerOptions legacy;
-  legacy.fault_injection = FullSpec().fault_injection;
-  legacy.remote_oracle = FullSpec().remote;
-  legacy.retry_policy = FullSpec().retry;
-  legacy.remote_share_labels = true;
-  const StackSpec merged = experiments::EffectiveStackSpec(legacy);
-  EXPECT_EQ(merged.fault_injection->seed, FullSpec().fault_injection->seed);
-  EXPECT_EQ(merged.remote->jitter_seed, FullSpec().remote->jitter_seed);
-  EXPECT_EQ(merged.retry->max_attempts, FullSpec().retry->max_attempts);
-  EXPECT_TRUE(merged.share_labels);
-
-  // The declarative spec wins over the aliases where both are set.
-  experiments::RunnerOptions both = legacy;
-  FaultInjectionOptions newer;
-  newer.seed = 0x999ULL;
-  both.stack.fault_injection = newer;
-  EXPECT_EQ(experiments::EffectiveStackSpec(both).fault_injection->seed,
-            0x999ULL);
-
-  // Historical tolerance: share without a remote layer normalises to off.
-  experiments::RunnerOptions shareless;
-  shareless.remote_share_labels = true;
-  EXPECT_FALSE(experiments::EffectiveStackSpec(shareless).share_labels);
-}
-
-// The end-to-end equivalence behind the deprecation: a run configured
-// through the old per-layer fields is bit-identical to the same run
-// configured through RunnerOptions::stack.
-TEST(OracleStackBuilder, LegacyAliasRunsMatchDeclarativeStackRuns) {
+// Sharing needs a wire to share: EffectiveStackSpec drops share_labels when
+// the stack has no remote layer, so such a run is bit-identical to the same
+// stack without the flag.
+TEST(OracleStackBuilder, ShareLabelsWithoutRemoteIsDropped) {
   const testutil::SyntheticPool pool = SmallPool();
   GroundTruthOracle oracle(pool.truth);
 
@@ -257,26 +230,28 @@ TEST(OracleStackBuilder, LegacyAliasRunsMatchDeclarativeStackRuns) {
   retry.max_attempts = 8;
   spec.retry = retry;
 
-  experiments::RunnerOptions base;
-  base.repeats = 6;
-  base.base_seed = 99;
-  base.trajectory.budget = 120;
-  base.trajectory.checkpoint_every = 40;
+  experiments::RunnerOptions plain;
+  plain.repeats = 6;
+  plain.base_seed = 99;
+  plain.trajectory.budget = 120;
+  plain.trajectory.checkpoint_every = 40;
+  plain.stack = spec;
+  experiments::RunnerOptions shareless = plain;
+  shareless.stack.share_labels = true;
+  EXPECT_FALSE(experiments::EffectiveStackSpec(shareless).share_labels);
 
-  experiments::RunnerOptions declarative = base;
-  declarative.stack = spec;
-  experiments::RunnerOptions aliased = base;
-  aliased.fault_injection = fault;
-  aliased.retry_policy = retry;
+  experiments::RunnerOptions remote = plain;
+  remote.stack.remote = FullSpec().remote;
+  remote.stack.share_labels = true;
+  EXPECT_TRUE(experiments::EffectiveStackSpec(remote).share_labels);
 
   const experiments::ErrorCurve lhs =
       experiments::RunErrorCurve(experiments::MakePassiveSpec(0.5), pool.scored,
-                                 oracle, pool.true_measures.f_alpha,
-                                 declarative)
+                                 oracle, pool.true_measures.f_alpha, plain)
           .ValueOrDie();
   const experiments::ErrorCurve rhs =
       experiments::RunErrorCurve(experiments::MakePassiveSpec(0.5), pool.scored,
-                                 oracle, pool.true_measures.f_alpha, aliased)
+                                 oracle, pool.true_measures.f_alpha, shareless)
           .ValueOrDie();
   ASSERT_EQ(lhs.final_estimates.size(), rhs.final_estimates.size());
   for (size_t r = 0; r < lhs.final_estimates.size(); ++r) {

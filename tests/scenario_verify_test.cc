@@ -174,11 +174,10 @@ TEST(ScenarioVerifyTest, StalledErrorCurveFailsDecay) {
 }
 
 /// Runs a scenario at pool scale through the real config surface: a 400k-item
-/// pool stratified to K = 100k by CSF, stepped by one of the sub-linear
-/// backends. This is the end-to-end route of the large-K tier — the same
-/// RunScenario call the apps make, not a hand-built sampler.
-ScenarioRunResult RunPoolScale(const std::string& scenario,
-                               const std::string& step_path, int64_t budget,
+/// pool stratified to K = 100k by CSF, stepped by the alias path. This is the
+/// end-to-end route of the large-K tier — the same RunScenario call the apps
+/// make, not a hand-built sampler.
+ScenarioRunResult RunPoolScale(const std::string& scenario, int64_t budget,
                                int repeats) {
   datagen::ScenarioSpec spec = ScenarioByName(scenario).ValueOrDie();
   spec.pool_size = 400000;
@@ -190,32 +189,26 @@ ScenarioRunResult RunPoolScale(const std::string& scenario,
   options.repeats = repeats;
   options.seed = 7;
   options.target_strata = 100000;
-  options.step_path = step_path;
+  options.step_path = "alias";
   return RunScenario(pool, options).ValueOrDie();
 }
 
-TEST(ScenarioVerifyTest, PoolScaleSweepPassesEveryCheckOnBothSubLinearPaths) {
+TEST(ScenarioVerifyTest, PoolScaleSweepPassesEveryCheckOnTheAliasPath) {
   // K = 100k catalogue sweep: with four items per stratum and budget << K
   // the epsilon mix carries consistency, and the full verification battery
-  // (including CI coverage and error decay) must still come out green for
-  // both sub-linear step paths.
+  // (including CI coverage and error decay) must still come out green.
   for (const char* scenario : {"stripe-f90", "imbalance-1e3"}) {
-    for (const char* step_path : {"fenwick", "alias"}) {
-      const ScenarioRunResult result =
-          RunPoolScale(scenario, step_path, 6000, 20);
-      const VerifyReport report =
-          VerifyRun(result.summary, &result.curve, VerifyOptions{})
-              .ValueOrDie();
-      EXPECT_TRUE(report.passed)
-          << scenario << "/" << step_path << "\n" << report.Render();
-      for (const char* name :
-           {"aggregate-consistency", "estimate-defined", "estimate-tolerance",
-            "ci-coverage", "error-decay", "degeneracy-flag"}) {
-        const VerifyCheck* check = FindCheck(report, name);
-        ASSERT_NE(check, nullptr) << scenario << "/" << step_path << " " << name;
-        EXPECT_TRUE(check->passed) << scenario << "/" << step_path << " "
-                                   << check->name << ": " << check->detail;
-      }
+    const ScenarioRunResult result = RunPoolScale(scenario, 6000, 20);
+    const VerifyReport report =
+        VerifyRun(result.summary, &result.curve, VerifyOptions{}).ValueOrDie();
+    EXPECT_TRUE(report.passed) << scenario << "\n" << report.Render();
+    for (const char* name :
+         {"aggregate-consistency", "estimate-defined", "estimate-tolerance",
+          "ci-coverage", "error-decay", "degeneracy-flag"}) {
+      const VerifyCheck* check = FindCheck(report, name);
+      ASSERT_NE(check, nullptr) << scenario << " " << name;
+      EXPECT_TRUE(check->passed)
+          << scenario << " " << check->name << ": " << check->detail;
     }
   }
 }
@@ -229,7 +222,7 @@ TEST(ScenarioVerifyTest, PoolScaleAdaptiveRunOnTheBreakerIsRejected) {
   // misconfiguration: pool-scale K needs a budget to match, or a coarser
   // stratification (the K = 30 runs on this same preset pass).
   const ScenarioRunResult result =
-      RunPoolScale("sis-inversion", "alias", 2500, 5);
+      RunPoolScale("sis-inversion", 2500, 5);
   ASSERT_TRUE(result.summary.degeneracy_monitored);
   EXPECT_TRUE(result.summary.degeneracy_tripped)
       << "ess_fraction=" << result.summary.final_ess_fraction;
@@ -243,10 +236,19 @@ TEST(ScenarioVerifyTest, PoolScaleAdaptiveRunOnTheBreakerIsRejected) {
 
 TEST(ScenarioVerifyTest, UnknownStepPathIsRejectedByValidation) {
   ScenarioRunOptions options;
-  options.step_path = "treap";
-  EXPECT_FALSE(options.Validate().ok());
-  options.step_path = "sharded-fenwick";
-  EXPECT_TRUE(options.Validate().ok());
+  for (const char* name :
+       {"treap", "fenwick", "sharded-fenwick", "reference"}) {
+    options.step_path = name;
+    const Status status = options.Validate();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_NE(status.message().find("expected fused or alias"),
+              std::string::npos)
+        << status.message();
+  }
+  for (const char* name : {"fused", "alias"}) {
+    options.step_path = name;
+    EXPECT_TRUE(options.Validate().ok()) << name;
+  }
 }
 
 TEST(ScenarioVerifyTest, StaticImportanceMustTripOnTheSisBreaker) {

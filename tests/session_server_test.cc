@@ -10,6 +10,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "common/random.h"
@@ -20,6 +21,7 @@
 #include "sampling/trajectory.h"
 #include "service/client.h"
 #include "service/protocol.h"
+#include "service/session.h"
 #include "service/session_manager.h"
 
 namespace oasis {
@@ -382,6 +384,57 @@ TEST(SessionServer, ProtocolErrorsBecomeErrorReplies) {
   EXPECT_FALSE(client.Start(bad).ok());
   // The manager survived all of it.
   EXPECT_EQ(manager.ActiveSessions(), 0);
+}
+
+/// Starts a live sibling session, sends `hostile` straight to
+/// SessionManager::Handle, and checks that the hostile start is refused with
+/// InvalidArgument while the sibling still runs to its budget.
+void ExpectRejectedAndSiblingSurvives(const SessionSpec& hostile) {
+  SessionManager manager;
+  const Response started =
+      manager.Handle(StartSession{MakeSpec("oasis", 200, 50, 0)});
+  ASSERT_TRUE(std::holds_alternative<SessionStarted>(started));
+  const int64_t sibling = std::get<SessionStarted>(started).session;
+
+  const Response rejected = manager.Handle(StartSession{hostile});
+  ASSERT_TRUE(std::holds_alternative<ErrorReply>(rejected));
+  EXPECT_EQ(std::get<ErrorReply>(rejected).code, "InvalidArgument")
+      << std::get<ErrorReply>(rejected).message;
+  EXPECT_EQ(manager.ActiveSessions(), 1);
+
+  const Response advanced = manager.Handle(RequestLabels{sibling, 0, true});
+  ASSERT_TRUE(std::holds_alternative<LabelArrived>(advanced));
+  EXPECT_TRUE(std::get<LabelArrived>(advanced).report.done);
+  EXPECT_EQ(std::get<LabelArrived>(advanced).report.labels_consumed, 200);
+  EXPECT_TRUE(std::holds_alternative<SessionClosed>(
+      manager.Handle(CloseSession{sibling})));
+}
+
+// A stratum count far beyond the pool used to reach CSF, whose 10-bins-per-
+// stratum histogram allocation threw bad_alloc and took the whole server
+// down. It must be refused before anything is sized from it.
+TEST(SessionServer, OversizedStrataAreRejectedBeforeAllocating) {
+  SessionSpec hostile = MakeSpec("oasis", 200, 50, 1);
+  hostile.strata = 2000000000;
+  ExpectRejectedAndSiblingSurvives(hostile);
+  hostile.method = "stratified";
+  ExpectRejectedAndSiblingSurvives(hostile);
+}
+
+// A budget beyond the pool can never be spent (labels are distinct items),
+// and a budget of 1e15 with checkpoint_every = 1 used to make the session
+// allocate 1e15 checkpoint slots. Both are refused up front, as is a grid
+// past EvalSession::kMaxCheckpoints on a budget the pool could serve.
+TEST(SessionServer, OversizedBudgetsAndCheckpointGridsAreRejected) {
+  SessionSpec hostile = MakeSpec("oasis", 1000000000000000, 1, 1);
+  ExpectRejectedAndSiblingSurvives(hostile);
+  hostile = MakeSpec("passive", 1000000000000000, 1000, 1);
+  ExpectRejectedAndSiblingSurvives(hostile);
+  hostile = MakeSpec("oasis", 20001, 100, 1);  // stripe-f90 holds 20000.
+  ExpectRejectedAndSiblingSurvives(hostile);
+  static_assert(2 * EvalSession::kMaxCheckpoints <= 20000);
+  hostile = MakeSpec("oasis", 2 * EvalSession::kMaxCheckpoints, 1, 1);
+  ExpectRejectedAndSiblingSurvives(hostile);
 }
 
 }  // namespace

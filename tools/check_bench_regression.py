@@ -8,8 +8,8 @@ snapshot and fails (exit 1) when any gated benchmark drops below
 Only benchmarks whose name starts with one of the comma-separated --filter
 prefixes (default: the OASIS step paths, ``BM_OasisStep``) are gated; other
 entries in either file are ignored, so the baseline can be regenerated from a
-filtered run. Example: --filter BM_OasisStep,BM_BlockForestRebuild gates the
-step paths and the sharded-rebuild kernel together.
+filtered run. Example: --filter BM_OasisStep,BM_RunnerParallel gates the
+step paths and the parallel-runner rows together.
 
 A gated benchmark that exists in the baseline but is MISSING from the current
 run is a hard failure: a silently skipped benchmark reads as "no regression"
