@@ -41,6 +41,7 @@
 #include "experiments/scenario_run.h"
 #include "experiments/summary.h"
 #include "service/client.h"
+#include "sampling/trajectory.h"
 #include "service/session_manager.h"
 #include "stats/running_stats.h"
 
@@ -59,11 +60,9 @@ struct ServeStats {
 Result<experiments::ErrorCurve> FoldCurve(
     const std::string& method_name, const experiments::ScenarioRunOptions& options,
     double true_f, const std::vector<service::CheckpointAck>& acks) {
-  std::vector<int64_t> grid;
-  for (int64_t b = options.checkpoint_every; b <= options.budget;
-       b += options.checkpoint_every) {
-    grid.push_back(b);
-  }
+  OASIS_ASSIGN_OR_RETURN(
+      std::vector<int64_t> grid,
+      CheckpointGrid(options.budget, options.checkpoint_every));
   const size_t num_checkpoints = grid.size();
   for (const service::CheckpointAck& ack : acks) {
     if (ack.budgets.size() != num_checkpoints) {

@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "common/format.h"
+
 namespace oasis {
 namespace bench {
 
@@ -93,10 +95,10 @@ class JsonBenchWriter {
       const JsonBenchResult& r = results_[i];
       out += i == 0 ? "\n" : ",\n";
       out += "    {\"name\": \"" + Escape(r.name) + "\"";
-      out += ", \"steps_per_sec\": " + Number(r.steps_per_sec);
+      out += ", \"steps_per_sec\": " + FormatRoundTrip(r.steps_per_sec);
       out += ", \"iterations\": " + std::to_string(r.iterations);
       for (const auto& [key, value] : r.metrics) {
-        out += ", \"" + Escape(key) + "\": " + Number(value);
+        out += ", \"" + Escape(key) + "\": " + FormatRoundTrip(value);
       }
       out += "}";
     }
@@ -135,12 +137,6 @@ class JsonBenchWriter {
       }
     }
     return out;
-  }
-
-  static std::string Number(double value) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
   }
 
   std::string benchmark_name_;

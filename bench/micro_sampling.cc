@@ -424,39 +424,6 @@ void BM_RemoteOracle(benchmark::State& state) {
 }
 BENCHMARK(BM_RemoteOracle)->Arg(1)->Arg(64)->Arg(256);
 
-/// Same workload with the AsyncLabelPipeline engaged (SetPrefetchPool over a
-/// 2-worker pool): bounds the pipeline's real-time overhead — results are
-/// bit-identical to BM_RemoteOracle at the same batch size, only wall-clock
-/// may differ.
-void BM_RemoteOraclePrefetch(benchmark::State& state) {
-  const int64_t batch = state.range(0);
-  constexpr int64_t kRemoteLabels = 2048;
-  static BenchPool* pool = new BenchPool(MakePool(100000));
-  static GroundTruthOracle* inner = new GroundTruthOracle(pool->truth);
-  RemoteOracleOptions remote_options;
-  remote_options.round_trip_seconds = 30.0;
-  remote_options.per_item_seconds = 12.0;
-  remote_options.cost_per_label = 0.05;
-  ThreadPool prefetch_pool(2);
-
-  for (auto _ : state) {
-    RemoteOracle remote(inner, remote_options);
-    LabelCache cache(&remote);
-    auto sampler = ImportanceSampler::Create(&pool->scored, &cache,
-                                             ImportanceOptions{}, Rng(12))
-                       .ValueOrDie();
-    sampler->SetPrefetchPool(&prefetch_pool);
-    for (int64_t done = 0; done < kRemoteLabels; done += batch) {
-      benchmark::DoNotOptimize(
-          sampler->StepBatch(std::min(batch, kRemoteLabels - done)).ok());
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * kRemoteLabels);
-  state.counters["batch"] = static_cast<double>(batch);
-  state.SetLabel("batch=" + std::to_string(batch) + " prefetch");
-}
-BENCHMARK(BM_RemoteOraclePrefetch)->Arg(2048);
-
 /// Happy-path cost of the fault-tolerant oracle stack: an ImportanceSampler
 /// labels kRetryLabels items in 256-item batches against three stacks of
 /// increasing depth — range(0) = 0: bare GroundTruthOracle (infallible fast

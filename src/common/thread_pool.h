@@ -111,10 +111,9 @@ class ThreadPool {
   /// TaskHandle::Wait() before any worker got to it. Exceptions thrown by
   /// `fn` are captured and rethrown from Wait().
   ///
-  /// This is the single-task sibling of ParallelFor, intended for
-  /// producer/consumer pipelining (e.g. prefetching the next oracle label
-  /// batch while the caller consumes the current one) rather than data
-  /// parallelism.
+  /// This is the single-task sibling of ParallelFor, for work started now
+  /// and collected later (the session server queues asynchronous label
+  /// requests through it) rather than data parallelism.
   TaskHandle Submit(std::function<void()> fn);
 
   /// Runs `body(i)` for every i in [begin, end), fanned out across the

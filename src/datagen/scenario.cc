@@ -1,9 +1,9 @@
 #include "datagen/scenario.h"
 
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
+#include "common/format.h"
 #include "eval/measures.h"
 #include "oracle/ground_truth_oracle.h"
 #include "oracle/noisy_oracle.h"
@@ -16,12 +16,6 @@ namespace {
 // Category layout order within the generated pool. Blocks are contiguous
 // (strata are score-driven, so item order carries no information).
 enum Category { kTn = 0, kFn = 1, kFp = 2, kTp = 3 };
-
-std::string FormatDoubleKey(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
 
 int64_t RoundCount(double value) {
   return static_cast<int64_t>(std::llround(value));
@@ -228,20 +222,20 @@ std::string ScenarioSpec::ToConfigString() const {
   out << "family = " << ScenarioFamilyName(family) << '\n';
   out << "pool_size = " << pool_size << '\n';
   out << "seed = " << seed << '\n';
-  out << "alpha = " << FormatDoubleKey(alpha) << '\n';
+  out << "alpha = " << FormatRoundTrip(alpha) << '\n';
   out << "true_positives = " << true_positives << '\n';
   out << "false_positives = " << false_positives << '\n';
   out << "false_negatives = " << false_negatives << '\n';
-  out << "match_rate = " << FormatDoubleKey(match_rate) << '\n';
-  out << "classifier_recall = " << FormatDoubleKey(classifier_recall) << '\n';
-  out << "classifier_precision = " << FormatDoubleKey(classifier_precision)
+  out << "match_rate = " << FormatRoundTrip(match_rate) << '\n';
+  out << "classifier_recall = " << FormatRoundTrip(classifier_recall) << '\n';
+  out << "classifier_precision = " << FormatRoundTrip(classifier_precision)
       << '\n';
-  out << "skew_exponent = " << FormatDoubleKey(skew_exponent) << '\n';
+  out << "skew_exponent = " << FormatRoundTrip(skew_exponent) << '\n';
   out << "clusters_per_band = " << clusters_per_band << '\n';
-  out << "flip_rate = " << FormatDoubleKey(flip_rate) << '\n';
+  out << "flip_rate = " << FormatRoundTrip(flip_rate) << '\n';
   out << "expect_sis_degeneracy = " << (expect_sis_degeneracy ? "true" : "false")
       << '\n';
-  out << "verify_tolerance = " << FormatDoubleKey(verify_tolerance) << '\n';
+  out << "verify_tolerance = " << FormatRoundTrip(verify_tolerance) << '\n';
   return out.str();
 }
 

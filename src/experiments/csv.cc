@@ -1,10 +1,11 @@
 #include "experiments/csv.h"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+
+#include "common/format.h"
 
 namespace oasis {
 namespace experiments {
@@ -36,11 +37,9 @@ Status WritePoolCsv(const std::string& path, const ScoredPool& pool,
     return Status::Internal("WritePoolCsv: cannot open '" + path + "'");
   }
   out << (truth != nullptr ? "score,prediction,truth\n" : "score,prediction\n");
-  char buffer[64];
   for (int64_t i = 0; i < pool.size(); ++i) {
-    std::snprintf(buffer, sizeof(buffer), "%.17g",
-                  pool.scores[static_cast<size_t>(i)]);
-    out << buffer << ',' << int{pool.predictions[static_cast<size_t>(i)]};
+    out << FormatRoundTrip(pool.scores[static_cast<size_t>(i)]) << ','
+        << int{pool.predictions[static_cast<size_t>(i)]};
     if (truth != nullptr) out << ',' << int{(*truth)[static_cast<size_t>(i)]};
     out << '\n';
   }

@@ -2,8 +2,9 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdio>
+#include <limits>
 
+#include "common/format.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "stats/confidence.h"
@@ -174,6 +175,22 @@ StackSpec EffectiveStackSpec(const RunnerOptions& options) {
   return spec;
 }
 
+namespace {
+
+/// An int option; a value outside int's range is refused, not truncated.
+Result<int> IntFromConfig(const ConfigMap& config, const std::string& key,
+                          int fallback) {
+  OASIS_ASSIGN_OR_RETURN(const int64_t value, config.GetInt64Or(key, fallback));
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("StackSpecFromConfig: " + key +
+                                   " does not fit in an int");
+  }
+  return static_cast<int>(value);
+}
+
+}  // namespace
+
 Result<StackSpec> StackSpecFromConfig(const ConfigMap& config,
                                       const std::string& prefix) {
   StackSpec spec;
@@ -237,9 +254,8 @@ Result<StackSpec> StackSpecFromConfig(const ConfigMap& config,
   if (retry) {
     RetryPolicy rp;
     OASIS_ASSIGN_OR_RETURN(
-        const int64_t max_attempts,
-        config.GetInt64Or(prefix + "retry_max_attempts", rp.max_attempts));
-    rp.max_attempts = static_cast<int>(max_attempts);
+        rp.max_attempts,
+        IntFromConfig(config, prefix + "retry_max_attempts", rp.max_attempts));
     OASIS_ASSIGN_OR_RETURN(
         rp.initial_backoff_seconds,
         config.GetDoubleOr(prefix + "retry_initial_backoff_seconds",
@@ -270,10 +286,9 @@ Result<StackSpec> StackSpecFromConfig(const ConfigMap& config,
         config.GetDoubleOr(prefix + "retry_overall_deadline_seconds",
                            rp.overall_deadline_seconds));
     OASIS_ASSIGN_OR_RETURN(
-        const int64_t breaker_threshold,
-        config.GetInt64Or(prefix + "retry_breaker_threshold",
-                          rp.breaker_failure_threshold));
-    rp.breaker_failure_threshold = static_cast<int>(breaker_threshold);
+        rp.breaker_failure_threshold,
+        IntFromConfig(config, prefix + "retry_breaker_threshold",
+                      rp.breaker_failure_threshold));
     OASIS_ASSIGN_OR_RETURN(
         rp.breaker_cooldown_calls,
         config.GetInt64Or(prefix + "retry_breaker_cooldown_calls",
@@ -292,12 +307,10 @@ Result<StackSpec> StackSpecFromConfig(const ConfigMap& config,
 
 namespace {
 
-/// One `key = value` config line with a %.17g number (value-exact through
-/// ConfigMap's strtod/strtoll round trip).
+/// One `key = value` config line with a FormatRoundTrip number (value-exact
+/// through ConfigMap's strtod/strtoll round trip).
 void AppendConfigLine(const std::string& key, double value, std::string* out) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  *out += key + " = " + buffer + "\n";
+  *out += key + " = " + FormatRoundTrip(value) + "\n";
 }
 
 void AppendConfigLine(const std::string& key, int64_t value, std::string* out) {
@@ -370,15 +383,11 @@ Result<ErrorCurve> RunErrorCurve(const MethodSpec& method, const ScoredPool& poo
   }
   OASIS_RETURN_NOT_OK(pool.Validate());
 
-  // Derive checkpoint count once, to shape the result slots.
-  size_t num_checkpoints = 0;
-  for (int64_t b = options.trajectory.checkpoint_every;
-       b <= options.trajectory.budget; b += options.trajectory.checkpoint_every) {
-    ++num_checkpoints;
-  }
-  if (num_checkpoints == 0) {
-    return Status::InvalidArgument("RunErrorCurve: no checkpoints in budget");
-  }
+  // Derive the checkpoint grid once, to shape the result slots.
+  OASIS_ASSIGN_OR_RETURN(std::vector<int64_t> budgets,
+                         CheckpointGrid(options.trajectory.budget,
+                                        options.trajectory.checkpoint_every));
+  const size_t num_checkpoints = budgets.size();
 
   // Observability (observe-only; see RunnerTelemetryOptions). The scoped
   // enable turns the process-wide switch on for this call and restores the
@@ -516,10 +525,7 @@ Result<ErrorCurve> RunErrorCurve(const MethodSpec& method, const ScoredPool& poo
   ErrorCurve curve;
   curve.method = method.name;
   curve.repeats = options.repeats;
-  for (int64_t b = options.trajectory.checkpoint_every;
-       b <= options.trajectory.budget; b += options.trajectory.checkpoint_every) {
-    curve.budgets.push_back(b);
-  }
+  curve.budgets = std::move(budgets);
   curve.mean_abs_error.resize(num_checkpoints);
   curve.stddev.resize(num_checkpoints);
   curve.mean_estimate.resize(num_checkpoints);

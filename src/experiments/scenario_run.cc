@@ -33,13 +33,7 @@ Status ScenarioRunOptions::Validate() const {
         "ScenarioRunOptions: unknown method '" + method +
         "' (expected passive, stratified, is, or oasis)");
   }
-  if (budget <= 0) {
-    return Status::InvalidArgument("ScenarioRunOptions: budget must be positive");
-  }
-  if (checkpoint_every <= 0 || checkpoint_every > budget) {
-    return Status::InvalidArgument(
-        "ScenarioRunOptions: checkpoint_every must lie in [1, budget]");
-  }
+  OASIS_RETURN_NOT_OK(CheckpointGrid(budget, checkpoint_every).status());
   if (repeats <= 0) {
     return Status::InvalidArgument(
         "ScenarioRunOptions: repeats must be positive");

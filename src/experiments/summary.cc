@@ -2,29 +2,24 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 
+#include "common/format.h"
+
 namespace oasis {
 namespace experiments {
 
 namespace {
 
-std::string JsonNumber(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
-
 void AppendNumberArray(std::ostringstream& out, const std::vector<double>& v) {
   out << '[';
   for (size_t i = 0; i < v.size(); ++i) {
     if (i > 0) out << ',';
-    out << JsonNumber(v[i]);
+    out << FormatRoundTrip(v[i]);
   }
   out << ']';
 }
@@ -212,31 +207,32 @@ std::string RunSummaryToJson(const RunSummary& summary) {
   out << "  \"schema_version\": " << summary.schema_version << ",\n";
   out << "  \"scenario\": \"" << summary.scenario << "\",\n";
   out << "  \"method\": \"" << summary.method << "\",\n";
-  out << "  \"alpha\": " << JsonNumber(summary.alpha) << ",\n";
+  out << "  \"alpha\": " << FormatRoundTrip(summary.alpha) << ",\n";
   out << "  \"pool_size\": " << summary.pool_size << ",\n";
   out << "  \"scenario_seed\": " << summary.scenario_seed << ",\n";
   out << "  \"run_seed\": " << summary.run_seed << ",\n";
-  out << "  \"true_f\": " << JsonNumber(summary.true_f) << ",\n";
+  out << "  \"true_f\": " << FormatRoundTrip(summary.true_f) << ",\n";
   out << "  \"budget\": " << summary.budget << ",\n";
   out << "  \"repeats\": " << summary.repeats << ",\n";
-  out << "  \"final_mean_estimate\": " << JsonNumber(summary.final_mean_estimate)
-      << ",\n";
+  out << "  \"final_mean_estimate\": "
+      << FormatRoundTrip(summary.final_mean_estimate) << ",\n";
   out << "  \"final_mean_abs_error\": "
-      << JsonNumber(summary.final_mean_abs_error) << ",\n";
-  out << "  \"final_stddev\": " << JsonNumber(summary.final_stddev) << ",\n";
-  out << "  \"final_frac_defined\": " << JsonNumber(summary.final_frac_defined)
+      << FormatRoundTrip(summary.final_mean_abs_error) << ",\n";
+  out << "  \"final_stddev\": " << FormatRoundTrip(summary.final_stddev)
       << ",\n";
+  out << "  \"final_frac_defined\": "
+      << FormatRoundTrip(summary.final_frac_defined) << ",\n";
   out << "  \"expect_sis_degeneracy\": "
       << (summary.expect_sis_degeneracy ? "true" : "false") << ",\n";
   out << "  \"degeneracy_monitored\": "
       << (summary.degeneracy_monitored ? "true" : "false") << ",\n";
   out << "  \"degeneracy_tripped\": "
       << (summary.degeneracy_tripped ? "true" : "false") << ",\n";
-  out << "  \"final_ess_fraction\": " << JsonNumber(summary.final_ess_fraction)
+  out << "  \"final_ess_fraction\": "
+      << FormatRoundTrip(summary.final_ess_fraction) << ",\n";
+  out << "  \"max_weight_share\": " << FormatRoundTrip(summary.max_weight_share)
       << ",\n";
-  out << "  \"max_weight_share\": " << JsonNumber(summary.max_weight_share)
-      << ",\n";
-  out << "  \"verify_tolerance\": " << JsonNumber(summary.verify_tolerance)
+  out << "  \"verify_tolerance\": " << FormatRoundTrip(summary.verify_tolerance)
       << ",\n";
   out << "  \"final_estimates\": ";
   AppendNumberArray(out, summary.final_estimates);

@@ -4,6 +4,50 @@
 
 namespace oasis {
 
+namespace {
+
+bool InClosedUnit(double value) { return value >= 0.0 && value <= 1.0; }
+bool InHalfOpenUnit(double value) { return value >= 0.0 && value < 1.0; }
+
+/// The decorators' constructor invariants, checked up front so that a spec
+/// from a config file or a wire request is refused rather than reaching an
+/// OASIS_CHECK that aborts the process. Every comparison fails on NaN.
+Status ValidateSpec(const StackSpec& spec) {
+  const auto& fault = spec.fault_injection;
+  if (fault.has_value() && !(InClosedUnit(fault->transient_failure_rate) &&
+                             InClosedUnit(fault->timeout_rate) &&
+                             InClosedUnit(fault->item_drop_rate))) {
+    return Status::InvalidArgument(
+        "OracleStackBuilder: fault-injection rates must lie in [0, 1]");
+  }
+  const auto& remote = spec.remote;
+  if (remote.has_value() &&
+      !(remote->round_trip_seconds >= 0.0 && remote->per_item_seconds >= 0.0 &&
+        remote->cost_per_label >= 0.0 &&
+        remote->max_items_per_round_trip >= 0 &&
+        InHalfOpenUnit(remote->jitter_fraction))) {
+    return Status::InvalidArgument(
+        "OracleStackBuilder: remote latencies, cost and trip size must be "
+        "non-negative and jitter_fraction in [0, 1)");
+  }
+  const auto& retry = spec.retry;
+  if (retry.has_value() &&
+      !(retry->max_attempts >= 1 && retry->backoff_multiplier >= 1.0 &&
+        retry->initial_backoff_seconds >= 0.0 &&
+        retry->max_backoff_seconds >= 0.0 &&
+        retry->per_attempt_timeout_seconds >= 0.0 &&
+        retry->overall_deadline_seconds >= 0.0 &&
+        InHalfOpenUnit(retry->jitter_fraction))) {
+    return Status::InvalidArgument(
+        "OracleStackBuilder: retry needs max_attempts >= 1, "
+        "backoff_multiplier >= 1, non-negative times and jitter_fraction in "
+        "[0, 1)");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 OracleStackBuilder& OracleStackBuilder::FaultInjection(
     const FaultInjectionOptions& options) {
   spec_.fault_injection = options;
@@ -41,6 +85,7 @@ Result<OracleStack> OracleStackBuilder::Build(const Oracle* base) const {
         "OracleStackBuilder: ShareLabels without a Remote layer (there is no "
         "wire to share)");
   }
+  OASIS_RETURN_NOT_OK(ValidateSpec(spec_));
   OracleStack stack;
   stack.spec_ = spec_;
   stack.top_ = base;

@@ -128,8 +128,9 @@ class OracleStackBuilder {
   OracleStackBuilder& ForkSeeds(uint64_t stream);
 
   /// Builds the stack over `base` (non-null; must outlive the stack).
-  /// Validates the layer options (the decorators check their own invariants)
-  /// and the sharing prerequisites. The returned stack owns its decorators;
+  /// Validates the layer options against the decorators' invariants and the
+  /// sharing prerequisites, failing with InvalidArgument, so no spec can
+  /// abort the process. The returned stack owns its decorators;
   /// moving it keeps every layer address stable.
   Result<OracleStack> Build(const Oracle* base) const;
 

@@ -49,9 +49,8 @@ Status StratifiedSampler::StepBatch(int64_t n) {
   if (CanBatchQueries()) {
     // The proportional allocation never depends on observed labels, so the
     // stratum/item draws of a whole chunk can happen up front; the draw
-    // callback records each position's stratum for the tally. Two chunks of
-    // scratch: the pipelined scaffold double-buffers positions.
-    batch_strata_.resize(static_cast<size_t>(std::min(n, 2 * kQueryBatchChunk)));
+    // callback records each position's stratum for the tally.
+    batch_strata_.resize(static_cast<size_t>(std::min(n, kQueryBatchChunk)));
     return BatchedSteps(
         n,
         [&](int64_t i) {

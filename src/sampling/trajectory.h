@@ -5,6 +5,8 @@
 #include <vector>
 
 #include "common/status.h"
+#include "oracle/remote_oracle.h"
+#include "oracle/retry_policy.h"
 #include "sampling/sampler.h"
 
 namespace oasis {
@@ -68,6 +70,78 @@ struct Trajectory {
   bool has_degeneracy_stats = false;
   /// Effective sample size of the importance weights at each checkpoint.
   std::vector<double> ess;
+};
+
+/// Most checkpoints one trajectory may record (budget / checkpoint_every):
+/// the grid is allocated when a run starts, so this caps what one config
+/// file or start_session request can make the process allocate.
+inline constexpr int64_t kMaxCheckpoints = 10000;
+
+/// The checkpoint grid checkpoint_every, 2 * checkpoint_every, ..., up to
+/// `budget` — for the batch runner, the session server and the apps alike.
+/// InvalidArgument unless budget >= 1, checkpoint_every is in [1, budget]
+/// and the grid has at most kMaxCheckpoints entries (checked before
+/// allocating).
+Result<std::vector<int64_t>> CheckpointGrid(int64_t budget,
+                                            int64_t checkpoint_every);
+
+/// One sampler run against a label budget, resumable between batches: the
+/// loop state lives here, not in locals. RunTrajectory runs a cursor to the
+/// end; a service session advances one by label quota. A paused and resumed
+/// run therefore makes the same StepBatch calls (so the same oracle
+/// attempts, RNG draws and estimates) as an uninterrupted one.
+///
+/// The loop steps singly until F is first defined, so first_defined_budget
+/// is exact (F then stays defined: the estimator's denominator only grows).
+/// After that each batch is sized to the label deficit to the next
+/// checkpoint and capped by the remaining iteration allowance. A step
+/// charges at most one label, so a batch never jumps past a checkpoint and
+/// max_iterations fires where a per-step loop's would.
+class TrajectoryCursor {
+ public:
+  /// Validates `options`, builds the grid and baselines the oracle stack's
+  /// counters; the budget counts labels charged to `sampler` from here on.
+  /// `sampler` must outlive the cursor.
+  static Result<TrajectoryCursor> Create(Sampler& sampler,
+                                         const TrajectoryOptions& options);
+
+  /// Runs batches until this call has charged `label_quota` labels (<= 0: to
+  /// the end), the budget is spent or the iteration cap fires. The quota is
+  /// checked only between batches, so the call may overshoot it by up to
+  /// checkpoint_every labels. A failed batch records nothing, so the cursor
+  /// can be advanced again. No-op once done().
+  Status Advance(int64_t label_quota);
+
+  /// Whether the run finished (budget spent or truncated); every checkpoint
+  /// of a finished trajectory is filled.
+  bool done() const { return done_; }
+
+  /// The trajectory so far: every checkpoint reached, counters as of the
+  /// last completed batch.
+  const Trajectory& trajectory() const& { return out_; }
+  /// Moves the trajectory out of a cursor that is no longer needed.
+  Trajectory trajectory() && { return std::move(out_); }
+
+ private:
+  explicit TrajectoryCursor(Sampler* sampler) : sampler_(sampler) {}
+
+  /// Appends `snap` and the stack's counters at the next checkpoint.
+  void RecordCheckpoint(const EstimateSnapshot& snap);
+
+  Sampler* sampler_;
+  int64_t budget_ = 0;
+  int64_t max_iterations_ = 0;
+  int64_t start_labels_ = 0;
+  /// Oracle layers found in the sampler's stack (nullptr when absent) and
+  /// their counters at creation, so reused oracles chart each run from zero.
+  const RemoteOracle* remote_ = nullptr;
+  RemoteOracleStats remote_start_;
+  const RetryingOracle* retrying_ = nullptr;
+  RetryStats retry_start_;
+  const DegeneracyMonitor* monitor_ = nullptr;
+  bool f_defined_seen_ = false;
+  bool done_ = false;
+  Trajectory out_;
 };
 
 /// Runs `sampler` until the label budget is exhausted (or the iteration cap

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/format.h"
 #include "experiments/config.h"
 #include "experiments/runner.h"
 
@@ -83,9 +84,7 @@ void AppendInt(const std::string& key, int64_t value, std::string* out) {
 }
 
 void AppendDouble(const std::string& key, double value, std::string* out) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  *out += key + " = " + buffer + "\n";
+  *out += key + " = " + FormatRoundTrip(value) + "\n";
 }
 
 void AppendBool(const std::string& key, bool value, std::string* out) {
@@ -115,9 +114,7 @@ void AppendDoubleList(const std::string& key, const std::vector<double>& values,
   std::string joined;
   for (size_t i = 0; i < values.size(); ++i) {
     if (i > 0) joined += ",";
-    char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), "%.17g", values[i]);
-    joined += buffer;
+    joined += FormatRoundTrip(values[i]);
   }
   *out += key + " = " + joined + "\n";
 }

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "common/status.h"
 #include "experiments/runner.h"
@@ -12,6 +11,7 @@
 #include "oracle/oracle_stack.h"
 #include "oracle/shared_label_store.h"
 #include "sampling/sampler.h"
+#include "sampling/trajectory.h"
 #include "service/protocol.h"
 
 namespace oasis {
@@ -19,47 +19,38 @@ namespace service {
 
 /// One live evaluation session: a sampler with its own RNG stream, its own
 /// oracle decorator stack and label cache, advanced incrementally against a
-/// shared immutable backend (pool + base oracle). The incremental twin of one
-/// RunTrajectory call — state that RunTrajectory keeps in locals across its
-/// loop lives here across Advance() calls.
+/// shared immutable backend (pool + base oracle) through a TrajectoryCursor —
+/// the same loop RunTrajectory runs to completion.
 ///
 /// Determinism contract (tested in tests/session_server_test.cc): a session
 /// over scenario backend B with (seed, stream) = (base_seed, r) produces, at
 /// every checkpoint, estimates bit-identical to repeat r of
 /// experiments::RunErrorCurve on B with base_seed — regardless of how callers
-/// slice their label requests, because Advance() replicates RunTrajectory's
-/// batch partitioning exactly and only pauses between batches, never inside
-/// one (so the oracle attempt sequence, and with it any fault/jitter
-/// schedule, is identical to batch mode).
+/// slice their label requests. This holds by construction: the cursor pauses
+/// only between batches, never inside one, so the batch partitioning, and
+/// with it the oracle attempt sequence and any fault/jitter schedule, is the
+/// batch runner's.
 ///
 /// Not thread-safe: the SessionManager serialises access per session.
 class EvalSession {
  public:
-  /// Most checkpoints one session may request (budget / checkpoint_every).
-  /// The grid and its snapshots are allocated when the session starts, so
-  /// this caps what one start_session request can make the server allocate.
-  static constexpr int64_t kMaxCheckpoints = 10000;
-
   /// Builds a session over the shared backend. `pool` and `oracle` must
   /// outlive the session; `store` (nullable) is the backend's shared label
   /// store, engaged only when spec.stack.share_labels. The session's stack
   /// seeds are forked by spec.stream (OracleStackBuilder::ForkSeeds), its
   /// sampler runs on Rng::Fork(spec.seed, spec.stream) — both exactly the
   /// batch runner's per-repeat arrangement. Fails with InvalidArgument when
-  /// the budget is not in [1, pool size] or the checkpoint grid is not in
-  /// [1, kMaxCheckpoints] entries.
+  /// the budget exceeds the pool size or CheckpointGrid refuses the grid.
   static Result<std::unique_ptr<EvalSession>> Create(
       int64_t id, const SessionSpec& spec,
       const experiments::MethodSpec& method, const ScoredPool* pool,
       const Oracle* oracle, SharedLabelStore* store);
 
   /// Advances the session by at least `label_quota` charged labels (<= 0:
-  /// run to the full budget), stopping early when the budget is exhausted or
-  /// the iteration cap fires. The quota is only checked between trajectory
-  /// batches — one batch is never split — so the label count may overshoot
-  /// by up to checkpoint_every. Returns the labels charged by THIS call.
-  /// A failed advance (fallible oracle stack without retries) leaves the
-  /// session at its pre-batch state and is sticky via the manager.
+  /// run to the full budget); see TrajectoryCursor::Advance. Returns the
+  /// labels charged by THIS call. A failed advance (fallible oracle stack
+  /// without retries) leaves the session at its pre-batch state and is
+  /// sticky via the manager.
   Result<int64_t> Advance(int64_t label_quota);
 
   /// Current estimate state (protocol form).
@@ -71,44 +62,30 @@ class EvalSession {
   CheckpointAck CheckpointData() const;
 
   /// Whether the session finished (budget exhausted or truncated).
-  bool done() const { return done_; }
+  bool done() const { return cursor_.done(); }
 
   /// Session id (assigned by the manager).
   int64_t id() const { return id_; }
 
-  /// The spec the session was started with.
-  const SessionSpec& spec() const { return spec_; }
-
-  /// The sampler's weight-degeneracy monitor, when it has one (diagnostics;
-  /// nullptr otherwise).
-  const DegeneracyMonitor* degeneracy_monitor() const {
-    return sampler_->degeneracy_monitor();
-  }
-
  private:
-  EvalSession(int64_t id, const SessionSpec& spec, OracleStack stack)
-      : id_(id), spec_(spec), stack_(std::move(stack)) {}
+  EvalSession(int64_t id, OracleStack stack,
+              std::unique_ptr<LabelCache> labels,
+              std::unique_ptr<Sampler> sampler, TrajectoryCursor cursor)
+      : id_(id),
+        stack_(std::move(stack)),
+        labels_(std::move(labels)),
+        sampler_(std::move(sampler)),
+        cursor_(std::move(cursor)) {}
 
   const int64_t id_;
-  const SessionSpec spec_;
   /// Order matters: the cache points into the stack, the sampler into the
-  /// cache; members destroy in reverse declaration order.
+  /// cache, the cursor at the sampler; members destroy in reverse
+  /// declaration order. Each pointee is heap-allocated, so moving the owners
+  /// in keeps every address stable.
   OracleStack stack_;
   std::unique_ptr<LabelCache> labels_;
   std::unique_ptr<Sampler> sampler_;
-
-  /// Checkpoint grid (checkpoint_every, 2*checkpoint_every, ..., budget).
-  std::vector<int64_t> budgets_;
-  /// Estimate snapshot at each reached checkpoint (parallel prefix of
-  /// budgets_).
-  std::vector<EstimateSnapshot> snapshots_;
-  size_t next_checkpoint_ = 0;
-  /// RunTrajectory's f_defined_seen local, persisted across Advance calls:
-  /// single-step until F first defines, checkpoint-sized batches after.
-  bool f_defined_seen_ = false;
-  int64_t max_iterations_ = 0;
-  bool truncated_ = false;
-  bool done_ = false;
+  TrajectoryCursor cursor_;
 };
 
 }  // namespace service

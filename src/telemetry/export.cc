@@ -4,18 +4,15 @@
 #include <cstdio>
 #include <fstream>
 
+#include "common/format.h"
+
 namespace oasis {
 namespace telemetry {
 
 namespace {
 
-/// %.17g — matches the repo's JSON/CSV writers: dyadic rationals print in
-/// their exact shortest form on every compiler, which is what keeps the
-/// golden-schema locks byte-stable.
 void AppendDouble(std::string* out, double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  out->append(buffer);
+  out->append(FormatRoundTrip(value));
 }
 
 void AppendInt(std::string* out, int64_t value) {
@@ -128,12 +125,7 @@ std::string PrometheusText(const MetricRegistry& registry) {
         int64_t cumulative = 0;
         for (size_t i = 0; i < m.bucket_bounds.size(); ++i) {
           cumulative += m.bucket_counts[i];
-          std::string le;
-          {
-            char buffer[64];
-            std::snprintf(buffer, sizeof(buffer), "%.17g", m.bucket_bounds[i]);
-            le = buffer;
-          }
+          const std::string le = FormatRoundTrip(m.bucket_bounds[i]);
           out.append(m.name).append("_bucket");
           AppendPromLabels(&out, m.labels, "le", le);
           out.push_back(' ');

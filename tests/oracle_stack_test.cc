@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -161,6 +162,58 @@ TEST(OracleStackBuilder, ShareLabelsRequiresARemoteLayer) {
 
   // Null base is rejected before anything is composed.
   EXPECT_FALSE(OracleStackBuilder().Build(nullptr).ok());
+}
+
+TEST(OracleStackBuilder, RejectsOutOfRangeLayerOptions) {
+  GroundTruthOracle base({1, 0, 1, 0});
+  std::vector<StackSpec> bad(9);
+  bad[0].fault_injection = FaultInjectionOptions{};
+  bad[0].fault_injection->transient_failure_rate = 2.0;
+  bad[1].fault_injection = FaultInjectionOptions{};
+  bad[1].fault_injection->item_drop_rate = -0.5;
+  bad[2].remote = RemoteOracleOptions{};
+  bad[2].remote->jitter_fraction = 5.0;
+  bad[3].remote = RemoteOracleOptions{};
+  bad[3].remote->round_trip_seconds = std::nan("");
+  bad[4].remote = RemoteOracleOptions{};
+  bad[4].remote->max_items_per_round_trip = -1;
+  bad[5].retry = RetryPolicy{};
+  bad[5].retry->max_attempts = 0;
+  bad[6].retry = RetryPolicy{};
+  bad[6].retry->backoff_multiplier = 0.5;
+  bad[7].retry = RetryPolicy{};
+  bad[7].retry->jitter_fraction = 1.0;
+  bad[8].retry = RetryPolicy{};
+  bad[8].retry->overall_deadline_seconds = -1.0;
+  for (size_t i = 0; i < bad.size(); ++i) {
+    const Result<OracleStack> stack = OracleStackBuilder(bad[i]).Build(&base);
+    ASSERT_FALSE(stack.ok()) << "spec " << i;
+    EXPECT_EQ(stack.status().code(), StatusCode::kInvalidArgument) << i;
+  }
+}
+
+TEST(OracleStackBuilder, StackSpecFromConfigRejectsAnIntOverflow) {
+  // `oasis_run` with stack_retry_max_attempts = 0 once exited with SIGABRT;
+  // now Build refuses it, and a value past int's range is refused while
+  // parsing instead of being truncated.
+  const experiments::ConfigMap zero =
+      experiments::ConfigMap::Parse(
+          "stack_retry = true\nstack_retry_max_attempts = 0\n")
+          .ValueOrDie();
+  const StackSpec spec =
+      experiments::StackSpecFromConfig(zero, "stack_").ValueOrDie();
+  GroundTruthOracle base({1, 0});
+  EXPECT_EQ(OracleStackBuilder(spec).Build(&base).status().code(),
+            StatusCode::kInvalidArgument);
+
+  const experiments::ConfigMap huge =
+      experiments::ConfigMap::Parse(
+          "stack_retry = true\nstack_retry_max_attempts = 4294967297\n")
+          .ValueOrDie();
+  const Result<StackSpec> parsed =
+      experiments::StackSpecFromConfig(huge, "stack_");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(OracleStackBuilder, StackSpecConfigRoundTripsValueExactly) {

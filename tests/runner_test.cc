@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "oracle/ground_truth_oracle.h"
 #include "strata/csf.h"
 #include "test_util.h"
@@ -36,6 +38,30 @@ TEST(RunnerTest, RejectsBadOptions) {
   EXPECT_FALSE(RunErrorCurve(MakePassiveSpec(0.5), pool.scored, oracle,
                              pool.true_measures.f_alpha, options)
                    .ok());
+}
+
+// `oasis_run` on a config with budget = 1e15 and checkpoint_every = 1 once
+// spun in the checkpoint-counting loop; the grid bound refuses it before any
+// sampler is built.
+TEST(RunnerTest, HugeCheckpointGridIsRejectedWithoutStepping) {
+  SyntheticPool pool = MediumPool();
+  GroundTruthOracle oracle(pool.truth);
+  MethodSpec method = MakePassiveSpec(0.5);
+  std::atomic<int> samplers_built{0};
+  const SamplerFactory build = method.factory;
+  method.factory = [&](const ScoredPool* p, LabelCache* labels, Rng rng) {
+    ++samplers_built;
+    return build(p, labels, rng);
+  };
+  RunnerOptions options;
+  options.repeats = 2;
+  options.trajectory.budget = 1000000000000000;
+  options.trajectory.checkpoint_every = 1;
+  const Result<ErrorCurve> curve = RunErrorCurve(
+      method, pool.scored, oracle, pool.true_measures.f_alpha, options);
+  ASSERT_FALSE(curve.ok());
+  EXPECT_EQ(curve.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(samplers_built.load(), 0);
 }
 
 TEST(RunnerTest, CurveShapeMatchesOptions) {

@@ -424,7 +424,7 @@ TEST(SessionServer, OversizedStrataAreRejectedBeforeAllocating) {
 // A budget beyond the pool can never be spent (labels are distinct items),
 // and a budget of 1e15 with checkpoint_every = 1 used to make the session
 // allocate 1e15 checkpoint slots. Both are refused up front, as is a grid
-// past EvalSession::kMaxCheckpoints on a budget the pool could serve.
+// past kMaxCheckpoints on a budget the pool could serve.
 TEST(SessionServer, OversizedBudgetsAndCheckpointGridsAreRejected) {
   SessionSpec hostile = MakeSpec("oasis", 1000000000000000, 1, 1);
   ExpectRejectedAndSiblingSurvives(hostile);
@@ -432,8 +432,33 @@ TEST(SessionServer, OversizedBudgetsAndCheckpointGridsAreRejected) {
   ExpectRejectedAndSiblingSurvives(hostile);
   hostile = MakeSpec("oasis", 20001, 100, 1);  // stripe-f90 holds 20000.
   ExpectRejectedAndSiblingSurvives(hostile);
-  static_assert(2 * EvalSession::kMaxCheckpoints <= 20000);
-  hostile = MakeSpec("oasis", 2 * EvalSession::kMaxCheckpoints, 1, 1);
+  static_assert(2 * kMaxCheckpoints <= 20000);
+  hostile = MakeSpec("oasis", 2 * kMaxCheckpoints, 1, 1);
+  ExpectRejectedAndSiblingSurvives(hostile);
+}
+
+// An out-of-range oracle-stack field once reached a decorator's OASIS_CHECK
+// and aborted the server, taking every live session down with it. Each is
+// now refused by OracleStackBuilder::Build.
+TEST(SessionServer, OutOfRangeStackFieldsAreRejected) {
+  SessionSpec hostile = MakeSpec("oasis", 200, 50, 1);
+  hostile.stack.retry = RetryPolicy{};
+  hostile.stack.retry->max_attempts = 0;
+  ExpectRejectedAndSiblingSurvives(hostile);
+
+  hostile = MakeSpec("oasis", 200, 50, 1);
+  hostile.stack.retry = RetryPolicy{};
+  hostile.stack.retry->backoff_multiplier = 0.5;
+  ExpectRejectedAndSiblingSurvives(hostile);
+
+  hostile = MakeSpec("oasis", 200, 50, 1);
+  hostile.stack.fault_injection = FaultInjectionOptions{};
+  hostile.stack.fault_injection->transient_failure_rate = 2.0;
+  ExpectRejectedAndSiblingSurvives(hostile);
+
+  hostile = MakeSpec("oasis", 200, 50, 1);
+  hostile.stack.remote = RemoteOracleOptions{};
+  hostile.stack.remote->jitter_fraction = 5.0;
   ExpectRejectedAndSiblingSurvives(hostile);
 }
 

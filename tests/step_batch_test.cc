@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "core/bayesian_model.h"
@@ -285,6 +286,48 @@ TEST_F(StepBatchTest, OasisMatches) {
   ExpectStepBatchMatchesStep(*a, *b, 500);
 }
 
+TEST_F(StepBatchTest, MultiChunkBatchesMatchStepwise) {
+  // One StepBatch of several internal chunks (the uneven-batch tests above
+  // stay within one) against the per-step loop, for every static sampler.
+  constexpr int kSteps = 1500;
+  LabelCache labels_a(oracle_.get());
+  LabelCache labels_b(oracle_.get());
+  auto passive_a =
+      PassiveSampler::Create(&pool_.scored, &labels_a, 0.5, Rng(15))
+          .ValueOrDie();
+  auto passive_b =
+      PassiveSampler::Create(&pool_.scored, &labels_b, 0.5, Rng(15))
+          .ValueOrDie();
+  LabelCache labels_c(oracle_.get());
+  LabelCache labels_d(oracle_.get());
+  auto importance_c = ImportanceSampler::Create(&pool_.scored, &labels_c,
+                                                ImportanceOptions{}, Rng(16))
+                          .ValueOrDie();
+  auto importance_d = ImportanceSampler::Create(&pool_.scored, &labels_d,
+                                                ImportanceOptions{}, Rng(16))
+                          .ValueOrDie();
+  LabelCache labels_e(oracle_.get());
+  LabelCache labels_f(oracle_.get());
+  auto stratified_e =
+      StratifiedSampler::Create(&pool_.scored, &labels_e, strata_, 0.5, Rng(17))
+          .ValueOrDie();
+  auto stratified_f =
+      StratifiedSampler::Create(&pool_.scored, &labels_f, strata_, 0.5, Rng(17))
+          .ValueOrDie();
+  const std::pair<Sampler*, Sampler*> pairs[] = {
+      {passive_a.get(), passive_b.get()},
+      {importance_c.get(), importance_d.get()},
+      {stratified_e.get(), stratified_f.get()}};
+  for (const auto& [stepwise, batched] : pairs) {
+    SCOPED_TRACE(stepwise->name());
+    for (int i = 0; i < kSteps; ++i) ASSERT_TRUE(stepwise->Step().ok());
+    ASSERT_TRUE(batched->StepBatch(kSteps).ok());
+    ExpectSnapshotsIdentical(stepwise->Estimate(), batched->Estimate());
+    EXPECT_EQ(stepwise->iterations(), batched->iterations());
+    EXPECT_EQ(stepwise->labels_consumed(), batched->labels_consumed());
+  }
+}
+
 TEST_F(StepBatchTest, RejectsNegativeAndAcceptsZero) {
   LabelCache labels(oracle_.get());
   auto sampler =
@@ -365,6 +408,28 @@ TEST_F(StepBatchTest, PassiveMidBatchFailureLeavesNoHalfAppliedState) {
   ASSERT_TRUE(sampler->StepBatch(100).ok());
   EXPECT_EQ(sampler->iterations(), 150);
   EXPECT_TRUE(sampler->Estimate().f_defined);
+}
+
+TEST_F(StepBatchTest, FailedChunkOfAMultiChunkBatchIsNotCredited) {
+  // One StepBatch spanning three chunks; the oracle fails the second chunk's
+  // round trip. Only the first chunk's iterations are credited, and the
+  // estimator matches a twin that stepped exactly that chunk.
+  constexpr int64_t kChunk = 512;  // Sampler::kQueryBatchChunk.
+  FailWindowOracle flaky(pool_.truth, /*fail_from=*/1, /*fail_to=*/2);
+  LabelCache labels(&flaky);
+  auto sampler =
+      PassiveSampler::Create(&pool_.scored, &labels, 0.5, Rng(34)).ValueOrDie();
+  EXPECT_EQ(sampler->StepBatch(3 * kChunk).code(), StatusCode::kUnavailable);
+  EXPECT_EQ(sampler->iterations(), kChunk);
+
+  GroundTruthOracle reliable(pool_.truth);
+  LabelCache reference_labels(&reliable);
+  auto reference = PassiveSampler::Create(&pool_.scored, &reference_labels, 0.5,
+                                          Rng(34))
+                       .ValueOrDie();
+  ASSERT_TRUE(reference->StepBatch(kChunk).ok());
+  ExpectSnapshotsIdentical(sampler->Estimate(), reference->Estimate());
+  EXPECT_EQ(sampler->labels_consumed(), reference->labels_consumed());
 }
 
 TEST_F(StepBatchTest, OasisMidBatchFailureLeavesNoHalfAppliedState) {
