@@ -5,10 +5,21 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
+
 #include "common/format.h"
+
+// The CMake build type, defined for every bench target by CMakeLists.txt.
+#ifndef OASIS_BENCH_BUILD_TYPE
+#define OASIS_BENCH_BUILD_TYPE "unknown"
+#endif
 
 namespace oasis {
 namespace bench {
@@ -58,6 +69,38 @@ inline void Banner(const char* experiment, const char* description) {
 // dependency: results are flat records of string/number fields.
 // ---------------------------------------------------------------------------
 
+/// CPU brand string from CPUID ("unknown" off x86 or when unsupported).
+inline std::string CpuModel() {
+#if defined(__x86_64__) || defined(__i386__)
+  unsigned regs[12] = {};
+  if (__get_cpuid_max(0x80000000u, nullptr) >= 0x80000004u) {
+    for (unsigned leaf = 0; leaf < 3; ++leaf) {
+      __get_cpuid(0x80000002u + leaf, &regs[leaf * 4], &regs[leaf * 4 + 1],
+                  &regs[leaf * 4 + 2], &regs[leaf * 4 + 3]);
+    }
+    char brand[49] = {};
+    std::memcpy(brand, regs, 48);
+    const std::string model(brand);
+    const size_t first = model.find_first_not_of(' ');
+    if (first != std::string::npos) return model.substr(first);
+  }
+#endif
+  return "unknown";
+}
+
+/// Compiler name and version this binary was built with.
+inline std::string CompilerVersion() {
+#if defined(__clang__)
+  return "Clang " + std::string(__clang_version__);
+#elif defined(__GNUC__)
+  return "GCC " + std::to_string(__GNUC__) + "." +
+         std::to_string(__GNUC_MINOR__) + "." +
+         std::to_string(__GNUC_PATCHLEVEL__);
+#else
+  return "unknown";
+#endif
+}
+
 /// One benchmark measurement: a name, the primary throughput number, and
 /// free-form numeric parameters/metrics (e.g. {"K": 30, "N": 100000,
 /// "ns_per_step": 412.7}).
@@ -69,7 +112,10 @@ struct JsonBenchResult {
 };
 
 /// Collects JsonBenchResult records and writes them as one JSON document:
-///   {"benchmark": "...", "seed": ..., "results": [{...}, ...]}
+///   {"benchmark": "...", "seed": ..., "machine": {...}, "results": [...]}
+/// The machine block (nproc, CPU model, compiler and version, build type)
+/// records where the numbers were measured, so two artifacts are only
+/// compared knowingly across machines.
 class JsonBenchWriter {
  public:
   explicit JsonBenchWriter(std::string benchmark_name)
@@ -90,6 +136,11 @@ class JsonBenchWriter {
     std::string out;
     out += "{\n  \"benchmark\": \"" + Escape(benchmark_name_) + "\",\n";
     out += "  \"seed\": " + std::to_string(Seed()) + ",\n";
+    out += "  \"machine\": {\"nproc\": " +
+           std::to_string(std::thread::hardware_concurrency()) +
+           ", \"cpu\": \"" + Escape(CpuModel()) + "\", \"compiler\": \"" +
+           Escape(CompilerVersion()) + "\", \"build_type\": \"" +
+           Escape(OASIS_BENCH_BUILD_TYPE) + "\"},\n";
     out += "  \"results\": [";
     for (size_t i = 0; i < results_.size(); ++i) {
       const JsonBenchResult& r = results_[i];

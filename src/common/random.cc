@@ -1,5 +1,6 @@
 #include "common/random.h"
 
+#include <algorithm>
 #include <cmath>
 #include <unordered_set>
 
@@ -19,6 +20,15 @@ uint64_t SplitMix64(uint64_t& x) {
 }
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
+/// Floating-point slack of an inverse-CDF draw (the target reached the
+/// total): the last positive-weight index.
+size_t LastPositiveIndex(std::span<const double> weights) {
+  for (size_t i = weights.size(); i > 0; --i) {
+    if (weights[i - 1] > 0.0) return i - 1;
+  }
+  return weights.size() - 1;
+}
 
 }  // namespace
 
@@ -120,11 +130,30 @@ size_t Rng::NextDiscreteLinear(std::span<const double> weights) {
     acc += weights[i];
     if (target < acc) return i;
   }
-  // Floating-point slack: fall back to the last positive-weight index.
-  for (size_t i = weights.size(); i > 0; --i) {
-    if (weights[i - 1] > 0.0) return i - 1;
+  return LastPositiveIndex(weights);
+}
+
+size_t Rng::NextDiscreteFromRunningSums(std::span<const double> weights,
+                                        std::span<const double> running_sums) {
+  OASIS_DCHECK(weights.size() == running_sums.size());
+  const double total = running_sums.empty() ? 0.0 : running_sums.back();
+  OASIS_CHECK(total > 0.0)
+      << "NextDiscreteFromRunningSums requires positive total weight";
+  return DiscreteIndexFromRunningSums(weights, running_sums,
+                                      NextDouble() * total);
+}
+
+size_t DiscreteIndexFromRunningSums(std::span<const double> weights,
+                                    std::span<const double> running_sums,
+                                    double target) {
+  // Non-negative weights make the sums non-decreasing, so the linear scan's
+  // "first i with target < acc" is exactly upper_bound.
+  const auto it =
+      std::upper_bound(running_sums.begin(), running_sums.end(), target);
+  if (it != running_sums.end()) {
+    return static_cast<size_t>(it - running_sums.begin());
   }
-  return weights.size() - 1;
+  return LastPositiveIndex(weights);
 }
 
 Rng Rng::Fork(uint64_t seed, uint64_t stream) {

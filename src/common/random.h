@@ -51,6 +51,17 @@ class Rng {
   /// be positive.
   size_t NextDiscreteLinear(std::span<const double> weights);
 
+  /// O(log n) twin of NextDiscreteLinear for callers that already hold the
+  /// running sums of `weights`. Bit-identity contract: when
+  /// `running_sums[i]` is the in-order double sum
+  /// (((0.0 + weights[0]) + weights[1]) + ... + weights[i]) — the very
+  /// additions NextDiscreteLinear performs — this consumes the same single
+  /// NextDouble() and returns the same index, including the fallback to the
+  /// last positive weight. Weights must be non-negative (so the sums never
+  /// decrease) and their sum positive.
+  size_t NextDiscreteFromRunningSums(std::span<const double> weights,
+                                     std::span<const double> running_sums);
+
   /// Derives an independent child generator; advances this generator.
   Rng Split();
 
@@ -81,6 +92,15 @@ class Rng {
   double spare_gaussian_ = 0.0;
   bool has_spare_gaussian_ = false;
 };
+
+/// The index NextDiscreteFromRunningSums returns for a given `target`: the
+/// first i with target < running_sums[i] (binary search), or, when none is
+/// (floating-point slack at target ~ total), the last index with a positive
+/// weight. Exposed so tests can force the fallback; the same rule as the
+/// linear scan at every target.
+size_t DiscreteIndexFromRunningSums(std::span<const double> weights,
+                                    std::span<const double> running_sums,
+                                    double target);
 
 }  // namespace oasis
 

@@ -26,10 +26,13 @@ inline double ScalarMass(double weight, double lambda, double pi,
 
 }  // namespace
 
-void StratumMassKernel(const double* weights, const double* lambda,
-                       const double* pi, const double* sqrt_pi,
-                       const double* c_not_pred, double f, double a2f2,
-                       double omf2, double* v, size_t n) {
+double StratumMassKernel(const double* weights, const double* lambda,
+                         const double* pi, const double* sqrt_pi,
+                         const double* c_not_pred, double f, double a2f2,
+                         double omf2, double* v, size_t n) {
+  // The in-order total rides along with the stores: one scalar add per
+  // element, in index order, whatever the lane count.
+  double total = 0.0;
   size_t i = 0;
 #if defined(__AVX2__)
   const __m256d vf = _mm256_set1_pd(f);
@@ -51,6 +54,10 @@ void StratumMassKernel(const double* weights, const double* lambda,
     _mm256_storeu_pd(v + i,
                      _mm256_mul_pd(_mm256_loadu_pd(weights + i),
                                    _mm256_add_pd(not_pred, pred)));
+    total += v[i];
+    total += v[i + 1];
+    total += v[i + 2];
+    total += v[i + 3];
   }
 #elif defined(__SSE2__)
   const __m128d vf = _mm_set1_pd(f);
@@ -68,12 +75,16 @@ void StratumMassKernel(const double* weights, const double* lambda,
         _mm_mul_pd(_mm_loadu_pd(lambda + i), _mm_sqrt_pd(radicand));
     _mm_storeu_pd(v + i, _mm_mul_pd(_mm_loadu_pd(weights + i),
                                     _mm_add_pd(not_pred, pred)));
+    total += v[i];
+    total += v[i + 1];
   }
 #endif
   for (; i < n; ++i) {
     v[i] = ScalarMass(weights[i], lambda[i], pi[i], sqrt_pi[i], c_not_pred[i],
                       f, a2f2, omf2);
+    total += v[i];
   }
+  return total;
 }
 
 bool MassKernelVectorized() {

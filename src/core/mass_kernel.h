@@ -24,16 +24,18 @@ namespace oasis {
 /// is ever used: a fused multiply-add rounds once where the scalar formula
 /// rounds twice.
 ///
-/// Any reduction over v (the total mass) is deliberately left to the caller
-/// as a scalar, in-order loop: summation order is part of the bit-identity
-/// contract and must not depend on vector width.
+/// Returns the total mass, reduced inside the same pass: each lane's result
+/// is added to one scalar accumulator, one element at a time in index order
+/// (((0 + v[0]) + v[1]) + ...), exactly as a scalar `total += v[i]` loop
+/// would. Summation order is part of the bit-identity contract, so the
+/// reduction never depends on vector width.
 ///
 /// All pointers must address at least `n` doubles; `v` may not alias the
 /// inputs.
-void StratumMassKernel(const double* weights, const double* lambda,
-                       const double* pi, const double* sqrt_pi,
-                       const double* c_not_pred, double f, double a2f2,
-                       double omf2, double* v, size_t n);
+double StratumMassKernel(const double* weights, const double* lambda,
+                         const double* pi, const double* sqrt_pi,
+                         const double* c_not_pred, double f, double a2f2,
+                         double omf2, double* v, size_t n);
 
 /// True when the kernel above runs on a vector unit (AVX2 or SSE2) rather
 /// than the scalar fallback. Diagnostics/benchmark labelling only.

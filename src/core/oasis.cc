@@ -52,6 +52,7 @@ OasisSampler::OasisSampler(const ScoredPool* pool, LabelCache* labels,
       active_epsilon_(options.epsilon) {
   const size_t num_strata = strata_->num_strata();
   v_scratch_.resize(num_strata);
+  running_scratch_.resize(num_strata);
   // Seed the incremental posterior caches and the per-stratum constants of
   // the v* formula. (1 - alpha) * (1 - lambda_k) uses the same factor
   // grouping as OptimalStratifiedInstrumentalInto so the fused scan is
@@ -155,15 +156,11 @@ void OasisSampler::RebuildAliasMasses(double f) {
   const size_t num_strata = strata_->num_strata();
   const double a2f2 = alpha_sq_ * f * f;
   const double omf2 = (1.0 - f) * (1.0 - f);
-  StratumMassKernel(strata_->weights().data(), lambda_.data(), pi_cache_.data(),
-                    sqrt_pi_cache_.data(), c_not_pred_.data(), f, a2f2, omf2,
-                    alias_snapshot_mass_.data(), num_strata);
-  double total = 0.0;
-  for (size_t k = 0; k < num_strata; ++k) {
-    total += alias_snapshot_mass_[k];
-  }
-  alias_total_ = total;
-  alias_degenerate_ = !(total > 0.0);
+  alias_total_ = StratumMassKernel(
+      strata_->weights().data(), lambda_.data(), pi_cache_.data(),
+      sqrt_pi_cache_.data(), c_not_pred_.data(), f, a2f2, omf2,
+      alias_snapshot_mass_.data(), num_strata);
+  alias_degenerate_ = !(alias_total_ > 0.0);
   if (!alias_degenerate_) {
     // In-place Vose refresh over the retained buffers — no allocation.
     OASIS_CHECK_OK(v_alias_.Rebuild(alias_snapshot_mass_));
@@ -263,53 +260,46 @@ void OasisSampler::ObserveLabel(size_t stratum, bool label) {
   sqrt_pi_cache_[stratum] = std::sqrt(pi_cache_[stratum]);
 }
 
-Status OasisSampler::StepFused() {
+void OasisSampler::BuildInstrumental(double f, double* OASIS_RESTRICT v,
+                                     double* OASIS_RESTRICT running_sums) const {
   const size_t num_strata = strata_->num_strata();
   const double* OASIS_RESTRICT weights = strata_->weights().data();
-  const double* OASIS_RESTRICT lambda = lambda_.data();
-  const double* OASIS_RESTRICT pi = pi_cache_.data();
-  const double* OASIS_RESTRICT sqrt_pi = sqrt_pi_cache_.data();
-  const double* OASIS_RESTRICT c_not_pred = c_not_pred_.data();
-  double* OASIS_RESTRICT v = v_scratch_.data();
-
-  // Line 3: v(t) from the current posterior means and F estimate. One fused
-  // scan computes the unnormalised v* masses; normalisation and the
-  // epsilon-greedy mix fold into a second in-place scan. Every expression
-  // keeps the reference path's factor grouping, so a seeded run is
+  // Pass 1: the unnormalised v* masses and their in-order total. Every
+  // expression keeps the reference path's factor grouping, so a seeded run is
   // bit-identical to OasisStepPath::kAllocatingReference.
-  const double f = Clamp(estimator_.FAlphaOr(initial_f_), 0.0, 1.0);
-  const double a2f2 = alpha_sq_ * f * f;          // alpha^2 F^2
-  const double omf2 = (1.0 - f) * (1.0 - f);      // (1 - F)^2
-  // The mass kernel is strictly elementwise (vectorised lanes round exactly
-  // like the scalar expression, no FMA contraction), so splitting the scan
-  // from the in-order total reduction below preserves bit-identity with the
-  // reference path.
-  StratumMassKernel(weights, lambda, pi, sqrt_pi, c_not_pred, f, a2f2, omf2, v,
-                    num_strata);
-  double total = 0.0;
-  for (size_t i = 0; i < num_strata; ++i) {
-    total += v[i];
-  }
-  const double epsilon = active_epsilon_;
+  double total = StratumMassKernel(
+      weights, lambda_.data(), pi_cache_.data(), sqrt_pi_cache_.data(),
+      c_not_pred_.data(), f, alpha_sq_ * f * f, (1.0 - f) * (1.0 - f), v,
+      num_strata);
   if (total <= 0.0) {
     // Degenerate estimates: fall back to the (already normalised by
     // invariant, renormalised here for exact reference parity) stratum
-    // weights before mixing.
-    std::copy(strata_->weights().begin(), strata_->weights().end(),
-              v_scratch_.begin());
-    NormalizeInPlace(v_scratch_);
-    for (size_t i = 0; i < num_strata; ++i) {
-      v[i] = epsilon * weights[i] + (1.0 - epsilon) * v[i];
-    }
-  } else {
-    for (size_t i = 0; i < num_strata; ++i) {
-      v[i] /= total;
-      v[i] = epsilon * weights[i] + (1.0 - epsilon) * v[i];
-    }
+    // weights. Dividing them by 1.0 below is exact.
+    std::copy(weights, weights + num_strata, v);
+    NormalizeInPlace(std::span<double>(v, num_strata));
+    total = 1.0;
   }
+  // Pass 2: normalise, mix with omega, and store the running sums — the same
+  // additions in the same order as NextDiscreteLinear's scan, so the O(log K)
+  // Rng::NextDiscreteFromRunningSums returns the index that scan would.
+  const double epsilon = active_epsilon_;
+  double acc = 0.0;
+  for (size_t i = 0; i < num_strata; ++i) {
+    v[i] = epsilon * weights[i] + (1.0 - epsilon) * (v[i] / total);
+    acc += v[i];
+    running_sums[i] = acc;
+  }
+}
+
+Status OasisSampler::StepFused() {
+  // Line 3: v(t) from the current posterior means and F estimate, in two
+  // O(K) passes with no allocation.
+  BuildInstrumental(Clamp(estimator_.FAlphaOr(initial_f_), 0.0, 1.0),
+                    v_scratch_.data(), running_scratch_.data());
 
   // Lines 4-5: stratum ~ v(t), item uniform within the stratum.
-  const size_t k = rng().NextDiscreteLinear(v_scratch_);
+  const size_t k =
+      rng().NextDiscreteFromRunningSums(v_scratch_, running_scratch_);
   const int64_t item = strata_->SampleItem(k, rng());
 
   // Line 6: importance weight w_t = omega_k / v_k, since p(z) = 1/N and
@@ -397,31 +387,18 @@ void OasisSampler::MaybeDegrade() {
 
 void OasisSampler::CaptureFrozenInstrumental() {
   const size_t num_strata = strata_->num_strata();
-  const double f = Clamp(estimator_.FAlphaOr(initial_f_), 0.0, 1.0);
   frozen_v_.resize(num_strata);
-  double total = 0.0;
-  for (size_t k = 0; k < num_strata; ++k) {
-    frozen_v_[k] = StratumMass(k, f);
-    total += frozen_v_[k];
-  }
-  if (total <= 0.0) {
-    std::copy(strata_->weights().begin(), strata_->weights().end(),
-              frozen_v_.begin());
-    NormalizeInPlace(frozen_v_);
-  } else {
-    for (size_t k = 0; k < num_strata; ++k) frozen_v_[k] /= total;
-  }
-  for (size_t k = 0; k < num_strata; ++k) {
-    frozen_v_[k] = active_epsilon_ * strata_->weight(k) +
-                   (1.0 - active_epsilon_) * frozen_v_[k];
-  }
+  frozen_running_.resize(num_strata);
+  BuildInstrumental(Clamp(estimator_.FAlphaOr(initial_f_), 0.0, 1.0),
+                    frozen_v_.data(), frozen_running_.data());
 }
 
 Status OasisSampler::StepFrozen() {
   // Degraded mode: a fixed, fully-supported instrumental. The posterior and
   // the monitor keep updating (diagnostics and a possible recovery analysis),
   // but the sampling distribution no longer adapts.
-  const size_t k = rng().NextDiscreteLinear(frozen_v_);
+  const size_t k =
+      rng().NextDiscreteFromRunningSums(frozen_v_, frozen_running_);
   const int64_t item = strata_->SampleItem(k, rng());
   const double weight = strata_->weight(k) / frozen_v_[k];
   OASIS_ASSIGN_OR_RETURN(const bool label, QueryLabel(item));

@@ -24,8 +24,9 @@ namespace oasis {
 /// than bit-for-bit (tests/alias_step_path_test.cc verifies both the
 /// distributional match and estimator consistency).
 enum class OasisStepPath {
-  /// Zero-allocation fused O(K) scan over precomputed per-stratum constants
-  /// and an incrementally-maintained posterior-mean cache: the exact v(t) of
+  /// Zero-allocation O(K) refresh in two passes over precomputed per-stratum
+  /// constants and an incrementally-maintained posterior-mean cache, then an
+  /// O(log K) binary-search draw over the running sums: the exact v(t) of
   /// Algorithm 3 on every step. The default.
   kFused,
   /// The original allocating path (PosteriorMeans + OptimalStratified-
@@ -198,6 +199,12 @@ class OasisSampler : public Sampler {
 
   /// The zero-allocation fused iteration (OasisStepPath::kFused).
   Status StepFused();
+  /// Line 3 of Algorithm 3 in two O(K) passes: writes the epsilon-greedy
+  /// instrumental v(t) under F estimate `f` into `v` and its in-order running
+  /// sums into `running_sums` (both num_strata long), ready for
+  /// Rng::NextDiscreteFromRunningSums. Bit-identical to the reference path's
+  /// OptimalStratifiedInstrumental + EpsilonGreedyMix.
+  void BuildInstrumental(double f, double* v, double* running_sums) const;
   /// The original allocating iteration, kept as reference and benchmark
   /// baseline (OasisStepPath::kAllocatingReference).
   Status StepAllocatingReference();
@@ -210,8 +217,9 @@ class OasisSampler : public Sampler {
   /// Fires the graceful degradation once the monitor reports a degenerate
   /// weight history (no-op unless OasisOptions::degrade_on_degeneracy).
   void MaybeDegrade();
-  /// Snapshots the current epsilon-greedy instrumental into frozen_v_ (under
-  /// the boosted floor) for StepFrozen.
+  /// Snapshots the current epsilon-greedy instrumental and its running sums
+  /// into frozen_v_ / frozen_running_ (under the boosted floor) for
+  /// StepFrozen.
   void CaptureFrozenInstrumental();
   /// One-time kAlias setup: the weights alias table, the mass scratch and
   /// the initial v* alias table. Called from Create() so construction can
@@ -251,8 +259,11 @@ class OasisSampler : public Sampler {
   // When true, Step() routes to StepFrozen() over frozen_v_.
   bool frozen_ = false;
   std::vector<double> frozen_v_;
-  // Scratch buffer reused across iterations to avoid per-step allocation.
+  std::vector<double> frozen_running_;
+  // Scratch buffers reused across iterations to avoid per-step allocation:
+  // the instrumental v(t) and (fused path) its running sums.
   std::vector<double> v_scratch_;
+  std::vector<double> running_scratch_;
   // --- Fused-path state --------------------------------------------------
   // Incrementally-maintained posterior means pi-hat_k and their square roots;
   // ObserveLabel refreshes only the observed stratum, so Step() never

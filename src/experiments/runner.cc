@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "common/format.h"
 #include "common/logging.h"
@@ -382,6 +383,12 @@ Result<ErrorCurve> RunErrorCurve(const MethodSpec& method, const ScoredPool& poo
     return Status::InvalidArgument("RunErrorCurve: repeats must be positive");
   }
   OASIS_RETURN_NOT_OK(pool.Validate());
+  if (oracle.deterministic() && options.trajectory.budget > pool.size()) {
+    return Status::InvalidArgument(
+        "RunErrorCurve: with a deterministic oracle the budget must not "
+        "exceed the pool size (" +
+        std::to_string(pool.size()) + ")");
+  }
 
   // Derive the checkpoint grid once, to shape the result slots.
   OASIS_ASSIGN_OR_RETURN(std::vector<int64_t> budgets,

@@ -212,6 +212,11 @@ void AppendStackSpecConfig(const StackSpec& spec, const std::string& prefix,
 ///
 /// The oracle is shared immutably across worker threads (Oracle::Label is
 /// const); each repeat owns its LabelCache, sampler, and RNG.
+///
+/// A deterministic oracle charges each distinct item once, so a budget above
+/// the pool size could never be spent; it is refused with InvalidArgument
+/// before any sampler is built. Noisy oracles charge every query, so their
+/// budget may exceed the pool.
 Result<ErrorCurve> RunErrorCurve(const MethodSpec& method, const ScoredPool& pool,
                                  const Oracle& oracle, double true_f,
                                  const RunnerOptions& options);

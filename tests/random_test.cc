@@ -128,6 +128,97 @@ TEST(RngTest, DiscreteLinearMatchesWeights) {
   EXPECT_NEAR(counts[3] / static_cast<double>(n), 0.6, 0.01);
 }
 
+// --- NextDiscreteFromRunningSums == NextDiscreteLinear ---------------------
+
+/// The in-order running sums the bit-identity contract is stated over.
+std::vector<double> RunningSums(const std::vector<double>& weights) {
+  std::vector<double> sums(weights.size());
+  double acc = 0.0;
+  for (size_t i = 0; i < weights.size(); ++i) {
+    acc += weights[i];
+    sums[i] = acc;
+  }
+  return sums;
+}
+
+/// NextDiscreteLinear's scan at a fixed target (its first loop only feeds the
+/// target; the second is restated here so a target can be forced).
+size_t LinearScanAt(const std::vector<double>& weights, double target) {
+  double acc = 0.0;
+  for (size_t i = 0; i < weights.size(); ++i) {
+    acc += weights[i];
+    if (target < acc) return i;
+  }
+  for (size_t i = weights.size(); i > 0; --i) {
+    if (weights[i - 1] > 0.0) return i - 1;
+  }
+  return weights.size() - 1;
+}
+
+/// Weight vectors covering the shapes the draw must get exactly right.
+std::vector<std::vector<double>> DrawCases() {
+  std::vector<std::vector<double>> cases = {
+      {0.0, 0.0, 2.0, 0.0, 1.0, 0.0, 0.0},  // Zeros at the start, middle, end.
+      {0.0, 0.0, 0.0, 5.0, 0.0, 0.0},       // A single positive entry.
+      {7.0},                                 // K = 1.
+      {1.0, 1e-20, 1e-300, 1.0, 1e-18, 0.0},  // Too small to move the sum.
+      {1e-300, 1e-300, 1e-300},              // A tiny total.
+  };
+  Rng shape(97);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<double> weights(1 + shape.NextBounded(300));
+    for (double& w : weights) {
+      const double u = shape.NextDouble();
+      // A mix of zeros, tiny and ordinary weights.
+      w = u < 0.2 ? 0.0 : (u < 0.3 ? 1e-19 * u : u);
+    }
+    weights[shape.NextBounded(weights.size())] = 1.0;  // Positive total.
+    cases.push_back(std::move(weights));
+  }
+  return cases;
+}
+
+TEST(RngTest, DiscreteFromRunningSumsMatchesLinearDrawForDraw) {
+  for (const std::vector<double>& weights : DrawCases()) {
+    const std::vector<double> sums = RunningSums(weights);
+    Rng linear(2024);
+    Rng prefix(2024);
+    for (int draw = 0; draw < 2000; ++draw) {
+      ASSERT_EQ(prefix.NextDiscreteFromRunningSums(weights, sums),
+                linear.NextDiscreteLinear(weights))
+          << "K=" << weights.size() << " draw " << draw;
+    }
+    // One NextDouble per draw on both sides: the streams stay in step.
+    EXPECT_EQ(prefix.NextUint64(), linear.NextUint64());
+  }
+}
+
+TEST(RngTest, DiscreteFromRunningSumsMatchesLinearAtEveryBoundary) {
+  for (const std::vector<double>& weights : DrawCases()) {
+    const std::vector<double> sums = RunningSums(weights);
+    for (const double sum : sums) {
+      for (const double target :
+           {std::nextafter(sum, 0.0), sum, std::nextafter(sum, 2.0 * sum)}) {
+        EXPECT_EQ(DiscreteIndexFromRunningSums(weights, sums, target),
+                  LinearScanAt(weights, target))
+            << "K=" << weights.size() << " target " << target;
+      }
+    }
+  }
+}
+
+TEST(RngTest, DiscreteFromRunningSumsFallsBackToLastPositiveWeight) {
+  // A target at or past the total (the floating-point slack NextDouble() *
+  // total can round into) finds no running sum above it; both draws then
+  // return the last positive-weight index, skipping trailing zeros.
+  const std::vector<double> weights{0.0, 3.0, 0.0, 1.0, 0.0, 0.0};
+  const std::vector<double> sums = RunningSums(weights);
+  for (const double target : {sums.back(), 2.0 * sums.back()}) {
+    EXPECT_EQ(DiscreteIndexFromRunningSums(weights, sums, target), 3u);
+    EXPECT_EQ(LinearScanAt(weights, target), 3u);
+  }
+}
+
 TEST(RngTest, ShuffleIsPermutation) {
   Rng rng(43);
   std::vector<int> items{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};

@@ -5,6 +5,7 @@
 #include <atomic>
 
 #include "oracle/ground_truth_oracle.h"
+#include "oracle/noisy_oracle.h"
 #include "strata/csf.h"
 #include "test_util.h"
 
@@ -62,6 +63,52 @@ TEST(RunnerTest, HugeCheckpointGridIsRejectedWithoutStepping) {
   ASSERT_FALSE(curve.ok());
   EXPECT_EQ(curve.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(samplers_built.load(), 0);
+}
+
+// A deterministic oracle charges each distinct item once, so a budget above
+// the pool can never be spent. Budget 1e12 with checkpoint_every 1e9 passes
+// the grid bound, and each repeat used to step until 50 x budget iterations.
+TEST(RunnerTest, DeterministicBudgetAbovePoolIsRejectedWithoutStepping) {
+  SyntheticPool pool = MediumPool();
+  GroundTruthOracle oracle(pool.truth);
+  MethodSpec method = MakePassiveSpec(0.5);
+  std::atomic<int> samplers_built{0};
+  const SamplerFactory build = method.factory;
+  method.factory = [&](const ScoredPool* p, LabelCache* labels, Rng rng) {
+    ++samplers_built;
+    return build(p, labels, rng);
+  };
+  RunnerOptions options;
+  options.repeats = 2;
+  const int64_t over_pool = pool.scored.size() + 1;
+  for (const int64_t budget : {over_pool, int64_t{1000000000000}}) {
+    options.trajectory.budget = budget;
+    options.trajectory.checkpoint_every = budget / 1000;
+    const Result<ErrorCurve> curve = RunErrorCurve(
+        method, pool.scored, oracle, pool.true_measures.f_alpha, options);
+    ASSERT_FALSE(curve.ok()) << budget;
+    EXPECT_EQ(curve.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(samplers_built.load(), 0);
+}
+
+// A noisy oracle charges every query, repeats included, so its budget may
+// exceed the pool and the run still completes.
+TEST(RunnerTest, NoisyOracleBudgetMayExceedThePool) {
+  SyntheticPool pool = MediumPool();
+  const NoisyOracle oracle =
+      NoisyOracle::FromTruthWithFlipNoise(pool.truth, 0.05).ValueOrDie();
+  ASSERT_FALSE(oracle.deterministic());
+  RunnerOptions options;
+  options.repeats = 2;
+  options.trajectory.budget = pool.scored.size() + 500;
+  options.trajectory.checkpoint_every = 500;
+  const Result<ErrorCurve> curve =
+      RunErrorCurve(MakePassiveSpec(0.5), pool.scored, oracle,
+                    pool.true_measures.f_alpha, options);
+  ASSERT_TRUE(curve.ok()) << curve.status().ToString();
+  EXPECT_EQ(curve.ValueOrDie().budgets.back(), options.trajectory.budget);
+  EXPECT_EQ(curve.ValueOrDie().frac_defined.back(), 1.0);
 }
 
 TEST(RunnerTest, CurveShapeMatchesOptions) {

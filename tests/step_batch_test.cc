@@ -9,10 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <ostream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -165,11 +168,30 @@ TEST(IntoVariantsTest, PosteriorMeansIntoMatches) {
 
 // --- Fused vs allocating reference step path ------------------------------
 
-TEST(OasisStepPathTest, FusedMatchesAllocatingReferenceBitForBit) {
+struct FusedReferenceCase {
+  const char* name;
+  size_t target_strata;
+  int64_t pool_size;
+  // All predictions negative: lambda = 0 and F-hat = 0 zero every v* mass,
+  // so every step takes the total <= 0 omega fallback.
+  bool no_predicted_positives;
+};
+
+void PrintTo(const FusedReferenceCase& c, std::ostream* os) { *os << c.name; }
+
+class OasisStepPathTest : public ::testing::TestWithParam<FusedReferenceCase> {
+};
+
+TEST_P(OasisStepPathTest, FusedMatchesAllocatingReferenceBitForBit) {
+  const FusedReferenceCase& param = GetParam();
   testutil::SyntheticPoolOptions pool_options;
-  pool_options.size = 4000;
+  pool_options.size = param.pool_size;
   pool_options.seed = 321;
-  const testutil::SyntheticPool pool = testutil::MakeSyntheticPool(pool_options);
+  testutil::SyntheticPool pool = testutil::MakeSyntheticPool(pool_options);
+  if (param.no_predicted_positives) {
+    std::fill(pool.scored.predictions.begin(), pool.scored.predictions.end(),
+              uint8_t{0});
+  }
   GroundTruthOracle oracle(pool.truth);
 
   OasisOptions fused_options;
@@ -180,30 +202,54 @@ TEST(OasisStepPathTest, FusedMatchesAllocatingReferenceBitForBit) {
   LabelCache fused_labels(&oracle);
   LabelCache reference_labels(&oracle);
   const uint64_t seed = 2026;
-  auto fused = OasisSampler::CreateWithCsf(&pool.scored, &fused_labels, 30,
-                                           fused_options, Rng(seed))
+  auto fused = OasisSampler::CreateWithCsf(&pool.scored, &fused_labels,
+                                           param.target_strata, fused_options,
+                                           Rng(seed))
                    .ValueOrDie();
-  auto reference = OasisSampler::CreateWithCsf(&pool.scored, &reference_labels,
-                                               30, reference_options, Rng(seed))
-                       .ValueOrDie();
+  auto reference =
+      OasisSampler::CreateWithCsf(&pool.scored, &reference_labels,
+                                  param.target_strata, reference_options,
+                                  Rng(seed))
+          .ValueOrDie();
+  ASSERT_EQ(fused->strata().num_strata(), param.target_strata);
+  if (param.no_predicted_positives) {
+    for (const double lambda : fused->lambda()) ASSERT_EQ(lambda, 0.0);
+    ASSERT_EQ(fused->initial_f(), 0.0);
+  }
 
   for (int step = 0; step < 800; ++step) {
     ASSERT_TRUE(fused->Step().ok());
     ASSERT_TRUE(reference->Step().ok());
     ExpectSnapshotsIdentical(fused->Estimate(), reference->Estimate());
+    if (param.no_predicted_positives && fused->Estimate().f_defined) {
+      ASSERT_EQ(fused->Estimate().f_alpha, 0.0);
+    }
   }
   EXPECT_EQ(fused->labels_consumed(), reference->labels_consumed());
   EXPECT_EQ(fused->iterations(), reference->iterations());
 
   // The incremental posterior caches must agree exactly with a full
-  // recomputation from the model.
+  // recomputation from the model, and both samplers visited the same strata.
   const std::vector<double> fused_pi = fused->PosteriorMeans();
   const std::vector<double> reference_pi = reference->PosteriorMeans();
   ASSERT_EQ(fused_pi.size(), reference_pi.size());
   for (size_t k = 0; k < fused_pi.size(); ++k) {
     EXPECT_EQ(fused_pi[k], reference_pi[k]);
+    EXPECT_EQ(fused->model().labels_observed(k),
+              reference->model().labels_observed(k));
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Strata, OasisStepPathTest,
+    ::testing::Values(FusedReferenceCase{"K1", 1, 4000, false},
+                      FusedReferenceCase{"K30", 30, 4000, false},
+                      FusedReferenceCase{"K1000", 1000, 20000, false},
+                      FusedReferenceCase{"NoPredictedPositives", 30, 4000,
+                                         true}),
+    [](const ::testing::TestParamInfo<FusedReferenceCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // --- StepBatch == n x Step, for every sampler -----------------------------
 

@@ -31,6 +31,12 @@ calibration is involved. Example: --max-metric
 metrics registry costs the fused step path more than 2%. A missing benchmark
 or metric is a hard failure (same reasoning as MISSING above).
 
+Both files' "machine" blocks (nproc, CPU model, compiler and version, build
+type; written by bench/bench_util.h) are printed first, so a reader sees
+whether the two runs came from the same machine. A baseline recorded before
+the block existed prints as "not recorded"; the block never changes a
+verdict.
+
 Usage:
   python3 tools/check_bench_regression.py BENCH_micro.json \
       bench/baselines/BENCH_micro_baseline.json \
@@ -57,6 +63,19 @@ def load_results(path):
         if name and steps > 0.0:
             results[name] = steps
     return results
+
+
+def load_machine(path):
+    """The artifact's "machine" block, or None when it predates the block."""
+    with open(path) as f:
+        machine = json.load(f).get("machine")
+    return machine if isinstance(machine, dict) else None
+
+
+def format_machine(machine):
+    if machine is None:
+        return "not recorded"
+    return ", ".join(f"{k}={v}" for k, v in machine.items())
 
 
 def load_metrics(path):
@@ -116,6 +135,10 @@ def run_gate(args, out=sys.stdout, err=sys.stderr):
     """The gate proper; returns the process exit code."""
     current = load_results(args.current)
     baseline = load_results(args.baseline)
+    print(f"machine current:  {format_machine(load_machine(args.current))}",
+          file=out)
+    print(f"machine baseline: {format_machine(load_machine(args.baseline))}",
+          file=out)
 
     scale = 1.0
     if args.calibrate:
@@ -218,7 +241,10 @@ def _self_test():
     import tempfile
     import unittest
 
-    def write_doc(directory, filename, entries, metrics=None):
+    machine = {"nproc": 4, "cpu": "Test CPU @ 2.10GHz", "compiler": "GCC 12.2.0",
+               "build_type": "Release"}
+
+    def write_doc(directory, filename, entries, metrics=None, machine=None):
         path = os.path.join(directory, filename)
         results = []
         for n, s in entries.items():
@@ -226,16 +252,21 @@ def _self_test():
             row.update((metrics or {}).get(n, {}))
             results.append(row)
         doc = {"benchmark": "self_test", "seed": 0, "results": results}
+        if machine is not None:
+            doc["machine"] = machine
         with open(path, "w") as f:
             json.dump(doc, f)
         return path
 
     class GateTest(unittest.TestCase):
         def run_gate_with(self, current, baseline, current_metrics=None,
+                          current_machine=machine, baseline_machine=machine,
                           **overrides):
             with tempfile.TemporaryDirectory() as tmp:
-                cur = write_doc(tmp, "current.json", current, current_metrics)
-                base = write_doc(tmp, "baseline.json", baseline)
+                cur = write_doc(tmp, "current.json", current, current_metrics,
+                                current_machine)
+                base = write_doc(tmp, "baseline.json", baseline,
+                                 machine=baseline_machine)
                 argv = [cur, base]
                 for key, value in overrides.items():
                     flag = "--" + key.replace("_", "-")
@@ -256,6 +287,27 @@ def _self_test():
                 {"BM_OasisStep/10": 100.0}, {"BM_OasisStep/10": 100.0})
             self.assertEqual(code, 0)
             self.assertIn("ok", out)
+
+        def test_prints_both_machine_blocks(self):
+            other = dict(machine, nproc=1, cpu="Other CPU")
+            code, out, _ = self.run_gate_with(
+                {"BM_OasisStep/10": 100.0}, {"BM_OasisStep/10": 100.0},
+                baseline_machine=other)
+            self.assertEqual(code, 0)
+            self.assertIn("machine current:  nproc=4, cpu=Test CPU @ 2.10GHz, "
+                          "compiler=GCC 12.2.0, build_type=Release", out)
+            self.assertIn("machine baseline: nproc=1, cpu=Other CPU", out)
+
+        def test_baseline_without_machine_block_still_gates(self):
+            code, out, _ = self.run_gate_with(
+                {"BM_OasisStep/10": 100.0}, {"BM_OasisStep/10": 100.0},
+                baseline_machine=None)
+            self.assertEqual(code, 0)
+            self.assertIn("machine baseline: not recorded", out)
+            code, out, _ = self.run_gate_with(
+                {"BM_OasisStep/10": 50.0}, {"BM_OasisStep/10": 100.0},
+                baseline_machine=None)
+            self.assertEqual(code, 1)
 
         def test_fail_on_regression(self):
             code, _, err = self.run_gate_with(
