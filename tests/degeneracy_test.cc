@@ -2,7 +2,8 @@
 //  * the Kish ESS and max-weight-share math against closed forms;
 //  * the min-observations gate, both trigger conditions, Reset, Summary;
 //  * an ESS collapse on an adversarial pool boosts OASIS's epsilon floor
-//    (and freezes the instrumental), after which stepping stays healthy;
+//    (and freezes the instrumental), after which stepping stays healthy —
+//    on every step path, pinned bit-exactly at the degrade step and after;
 //  * degrade mode with untrippable thresholds is bit-identical to the
 //    default sampler — the monitor itself never perturbs the estimates;
 //  * Create() rejects an out-of-range degraded_epsilon.
@@ -159,12 +160,31 @@ std::shared_ptr<const Strata> MakeStrata(const ScoredPool& pool, int bins) {
       StratifyCsf(pool.scores, bins, false).ValueOrDie());
 }
 
-TEST(OasisDegradeTest, EssCollapseBoostsEpsilonFloorAndFreezes) {
+/// Where the adversarial run below degrades, and where it stands after a
+/// further StepBatch(500) in frozen mode, per step path (hexfloat, so the
+/// comparison is bit-exact).
+struct DegradeCase {
+  OasisStepPath path;
+  const char* name;
+  int64_t degrade_iterations;
+  int64_t degrade_labels;
+  double degrade_f;
+  int64_t frozen_labels;
+  double frozen_f;
+  double frozen_precision;
+  double frozen_recall;
+};
+
+class OasisDegradePathTest : public ::testing::TestWithParam<DegradeCase> {};
+
+TEST_P(OasisDegradePathTest, EssCollapseBoostsEpsilonFloorAndFreezes) {
+  const DegradeCase& param = GetParam();
   const AdversarialPool pool = MakeAdversarialPool();
   GroundTruthOracle oracle(pool.truth);
   LabelCache labels(&oracle);
 
   OasisOptions options;
+  options.step_path = param.path;
   options.degrade_on_degeneracy = true;
   options.degraded_epsilon = 0.6;
   // Sensitive thresholds: the monitor's default floor is meant for
@@ -189,6 +209,9 @@ TEST(OasisDegradeTest, EssCollapseBoostsEpsilonFloorAndFreezes) {
   EXPECT_DOUBLE_EQ(sampler->active_epsilon(), 0.6);
   EXPECT_GE(sampler->degeneracy_monitor()->observations(),
             options.degeneracy.min_observations);
+  EXPECT_EQ(sampler->iterations(), param.degrade_iterations);
+  EXPECT_EQ(sampler->labels_consumed(), param.degrade_labels);
+  EXPECT_EQ(sampler->Estimate().f_alpha, param.degrade_f);
 
   // Degraded (frozen-instrumental) stepping keeps working: the sampler still
   // labels, the estimate stays defined and in range, diagnostics keep
@@ -204,7 +227,28 @@ TEST(OasisDegradeTest, EssCollapseBoostsEpsilonFloorAndFreezes) {
   ASSERT_TRUE(snap.f_defined);
   EXPECT_GE(snap.f_alpha, 0.0);
   EXPECT_LE(snap.f_alpha, 1.0);
+  EXPECT_EQ(sampler->iterations(), param.degrade_iterations + 500);
+  EXPECT_EQ(sampler->labels_consumed(), param.frozen_labels);
+  EXPECT_EQ(snap.f_alpha, param.frozen_f);
+  EXPECT_EQ(snap.precision, param.frozen_precision);
+  EXPECT_EQ(snap.recall, param.frozen_recall);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    StepPaths, OasisDegradePathTest,
+    ::testing::Values(
+        DegradeCase{OasisStepPath::kFused, "fused", 64, 63,
+                    0x1.f5e196f517268p-1, 484, 0x1.f372426a7f5d7p-1, 0x1p+0,
+                    0x1.e77e578f890e8p-1},
+        DegradeCase{OasisStepPath::kAlias, "alias", 64, 62,
+                    0x1.ea8cc0c386044p-1, 488, 0x1.ef52c585c31a9p-1, 0x1p+0,
+                    0x1.dfb2e1bccc2e3p-1},
+        DegradeCase{OasisStepPath::kAllocatingReference, "reference", 64, 63,
+                    0x1.f5e196f517268p-1, 484, 0x1.f372426a7f5d7p-1, 0x1p+0,
+                    0x1.e77e578f890e8p-1}),
+    [](const ::testing::TestParamInfo<DegradeCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(OasisDegradeTest, UntrippedDegradeModeIsBitIdenticalToDefault) {
   testutil::SyntheticPoolOptions pool_options;

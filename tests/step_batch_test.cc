@@ -3,7 +3,8 @@
 //    reference functions;
 //  * OasisSampler's fused step path is bit-for-bit identical to the original
 //    allocating reference path;
-//  * StepBatch(n) equals n calls to Step() exactly, for every sampler;
+//  * StepBatch(n) equals n calls to Step() exactly, for every sampler, under
+//    an RNG-free and an RNG-consuming (noisy) oracle;
 //  * the batched RunTrajectory matches the original per-step driver loop;
 //  * the fused OASIS step performs zero heap allocations.
 
@@ -23,7 +24,9 @@
 #include "core/instrumental.h"
 #include "core/oasis.h"
 #include "oracle/ground_truth_oracle.h"
+#include "oracle/noisy_oracle.h"
 #include "sampling/importance.h"
+#include "sampling/oracle_sampler.h"
 #include "sampling/passive.h"
 #include "sampling/stratified.h"
 #include "sampling/trajectory.h"
@@ -270,24 +273,42 @@ void ExpectStepBatchMatchesStep(Sampler& stepwise, Sampler& batched, int total) 
   EXPECT_EQ(stepwise.labels_consumed(), batched.labels_consumed());
 }
 
-class StepBatchTest : public ::testing::Test {
+/// The oracle every StepBatchTest runs against: ground truth (labelling is
+/// RNG-free, so the static samplers pre-draw whole chunks) or a NoisyOracle
+/// (labelling consumes the sampler's RNG between item draws).
+enum class OracleKind { kGroundTruth, kNoisy };
+
+class StepBatchTest : public ::testing::TestWithParam<OracleKind> {
  protected:
   void SetUp() override {
     testutil::SyntheticPoolOptions pool_options;
     pool_options.size = 3000;
     pool_options.seed = 99;
     pool_ = testutil::MakeSyntheticPool(pool_options);
-    oracle_ = std::make_unique<GroundTruthOracle>(pool_.truth);
+    if (GetParam() == OracleKind::kNoisy) {
+      oracle_ = std::make_unique<NoisyOracle>(
+          NoisyOracle::FromTruthWithFlipNoise(pool_.truth, 0.05).ValueOrDie());
+    } else {
+      oracle_ = std::make_unique<GroundTruthOracle>(pool_.truth);
+    }
     strata_ = std::make_shared<const Strata>(
         StratifyCsf(pool_.scored.scores, 20, false).ValueOrDie());
   }
 
   testutil::SyntheticPool pool_;
-  std::unique_ptr<GroundTruthOracle> oracle_;
+  std::unique_ptr<Oracle> oracle_;
   std::shared_ptr<const Strata> strata_;
 };
 
-TEST_F(StepBatchTest, PassiveMatches) {
+INSTANTIATE_TEST_SUITE_P(
+    Oracles, StepBatchTest,
+    ::testing::Values(OracleKind::kGroundTruth, OracleKind::kNoisy),
+    [](const ::testing::TestParamInfo<OracleKind>& info) {
+      return std::string(info.param == OracleKind::kNoisy ? "Noisy"
+                                                          : "GroundTruth");
+    });
+
+TEST_P(StepBatchTest, PassiveMatches) {
   LabelCache labels_a(oracle_.get());
   LabelCache labels_b(oracle_.get());
   auto a = PassiveSampler::Create(&pool_.scored, &labels_a, 0.5, Rng(5)).ValueOrDie();
@@ -295,7 +316,7 @@ TEST_F(StepBatchTest, PassiveMatches) {
   ExpectStepBatchMatchesStep(*a, *b, 500);
 }
 
-TEST_F(StepBatchTest, ImportanceMatchesBothBackends) {
+TEST_P(StepBatchTest, ImportanceMatchesBothBackends) {
   for (const SamplingBackend backend :
        {SamplingBackend::kAliasTable, SamplingBackend::kLinearScan}) {
     ImportanceOptions options;
@@ -310,7 +331,7 @@ TEST_F(StepBatchTest, ImportanceMatchesBothBackends) {
   }
 }
 
-TEST_F(StepBatchTest, StratifiedMatches) {
+TEST_P(StepBatchTest, StratifiedMatches) {
   LabelCache labels_a(oracle_.get());
   LabelCache labels_b(oracle_.get());
   auto a = StratifiedSampler::Create(&pool_.scored, &labels_a, strata_, 0.5, Rng(8))
@@ -320,7 +341,19 @@ TEST_F(StepBatchTest, StratifiedMatches) {
   ExpectStepBatchMatchesStep(*a, *b, 500);
 }
 
-TEST_F(StepBatchTest, OasisMatches) {
+TEST_P(StepBatchTest, OracleOptimalMatches) {
+  LabelCache labels_a(oracle_.get());
+  LabelCache labels_b(oracle_.get());
+  auto a = OracleOptimalSampler::Create(&pool_.scored, &labels_a, strata_,
+                                        pool_.truth, 0.5, 1e-3, Rng(10))
+               .ValueOrDie();
+  auto b = OracleOptimalSampler::Create(&pool_.scored, &labels_b, strata_,
+                                        pool_.truth, 0.5, 1e-3, Rng(10))
+               .ValueOrDie();
+  ExpectStepBatchMatchesStep(*a, *b, 500);
+}
+
+TEST_P(StepBatchTest, OasisMatches) {
   LabelCache labels_a(oracle_.get());
   LabelCache labels_b(oracle_.get());
   auto a = OasisSampler::Create(&pool_.scored, &labels_a, strata_, OasisOptions{},
@@ -332,7 +365,7 @@ TEST_F(StepBatchTest, OasisMatches) {
   ExpectStepBatchMatchesStep(*a, *b, 500);
 }
 
-TEST_F(StepBatchTest, MultiChunkBatchesMatchStepwise) {
+TEST_P(StepBatchTest, MultiChunkBatchesMatchStepwise) {
   // One StepBatch of several internal chunks (the uneven-batch tests above
   // stay within one) against the per-step loop, for every static sampler.
   constexpr int kSteps = 1500;
@@ -360,10 +393,21 @@ TEST_F(StepBatchTest, MultiChunkBatchesMatchStepwise) {
   auto stratified_f =
       StratifiedSampler::Create(&pool_.scored, &labels_f, strata_, 0.5, Rng(17))
           .ValueOrDie();
+  LabelCache labels_g(oracle_.get());
+  LabelCache labels_h(oracle_.get());
+  auto optimal_g =
+      OracleOptimalSampler::Create(&pool_.scored, &labels_g, strata_,
+                                   pool_.truth, 0.5, 1e-3, Rng(18))
+          .ValueOrDie();
+  auto optimal_h =
+      OracleOptimalSampler::Create(&pool_.scored, &labels_h, strata_,
+                                   pool_.truth, 0.5, 1e-3, Rng(18))
+          .ValueOrDie();
   const std::pair<Sampler*, Sampler*> pairs[] = {
       {passive_a.get(), passive_b.get()},
       {importance_c.get(), importance_d.get()},
-      {stratified_e.get(), stratified_f.get()}};
+      {stratified_e.get(), stratified_f.get()},
+      {optimal_g.get(), optimal_h.get()}};
   for (const auto& [stepwise, batched] : pairs) {
     SCOPED_TRACE(stepwise->name());
     for (int i = 0; i < kSteps; ++i) ASSERT_TRUE(stepwise->Step().ok());
@@ -374,7 +418,7 @@ TEST_F(StepBatchTest, MultiChunkBatchesMatchStepwise) {
   }
 }
 
-TEST_F(StepBatchTest, RejectsNegativeAndAcceptsZero) {
+TEST_P(StepBatchTest, RejectsNegativeAndAcceptsZero) {
   LabelCache labels(oracle_.get());
   auto sampler =
       PassiveSampler::Create(&pool_.scored, &labels, 0.5, Rng(5)).ValueOrDie();
@@ -427,7 +471,7 @@ class FailWindowOracle : public Oracle {
   mutable int calls_ = 0;
 };
 
-TEST_F(StepBatchTest, PassiveMidBatchFailureLeavesNoHalfAppliedState) {
+TEST_P(StepBatchTest, PassiveMidBatchFailureLeavesNoHalfAppliedState) {
   // The oracle fails exactly the second QueryBatch round-trip: the first
   // StepBatch lands, the second fails as a whole chunk.
   FailWindowOracle flaky(pool_.truth, /*fail_from=*/1, /*fail_to=*/2);
@@ -456,7 +500,7 @@ TEST_F(StepBatchTest, PassiveMidBatchFailureLeavesNoHalfAppliedState) {
   EXPECT_TRUE(sampler->Estimate().f_defined);
 }
 
-TEST_F(StepBatchTest, FailedChunkOfAMultiChunkBatchIsNotCredited) {
+TEST_P(StepBatchTest, FailedChunkOfAMultiChunkBatchIsNotCredited) {
   // One StepBatch spanning three chunks; the oracle fails the second chunk's
   // round trip. Only the first chunk's iterations are credited, and the
   // estimator matches a twin that stepped exactly that chunk.
@@ -478,7 +522,7 @@ TEST_F(StepBatchTest, FailedChunkOfAMultiChunkBatchIsNotCredited) {
   EXPECT_EQ(sampler->labels_consumed(), reference->labels_consumed());
 }
 
-TEST_F(StepBatchTest, OasisMidBatchFailureLeavesNoHalfAppliedState) {
+TEST_P(StepBatchTest, OasisMidBatchFailureLeavesNoHalfAppliedState) {
   // OASIS queries per step (cache hits skip the oracle), so the outage is
   // placed on the 11th oracle round-trip — somewhere inside the big batch.
   FailWindowOracle flaky(pool_.truth, /*fail_from=*/10, /*fail_to=*/11);
@@ -515,7 +559,7 @@ TEST_F(StepBatchTest, OasisMidBatchFailureLeavesNoHalfAppliedState) {
 
 // --- Batched trajectory vs the original per-step driver -------------------
 
-TEST_F(StepBatchTest, TrajectoryMatchesPerStepReferenceLoop) {
+TEST_P(StepBatchTest, TrajectoryMatchesPerStepReferenceLoop) {
   TrajectoryOptions options;
   options.budget = 400;
   options.checkpoint_every = 30;
@@ -563,7 +607,7 @@ TEST_F(StepBatchTest, TrajectoryMatchesPerStepReferenceLoop) {
 
 // --- Zero allocations on the fused hot path -------------------------------
 
-TEST_F(StepBatchTest, FusedStepPerformsZeroHeapAllocations) {
+TEST_P(StepBatchTest, FusedStepPerformsZeroHeapAllocations) {
   LabelCache labels(oracle_.get());
   auto sampler = OasisSampler::Create(&pool_.scored, &labels, strata_,
                                       OasisOptions{}, Rng(21))
