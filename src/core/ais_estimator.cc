@@ -8,14 +8,6 @@ AisEstimator::AisEstimator(double alpha) : alpha_(alpha) {
   OASIS_CHECK(alpha >= 0.0 && alpha <= 1.0);
 }
 
-void AisEstimator::Add(double weight, bool label, bool prediction) {
-  OASIS_DCHECK(weight >= 0.0);
-  if (label && prediction) num_ += weight;
-  if (prediction) den_pred_ += weight;
-  if (label) den_true_ += weight;
-  ++observations_;
-}
-
 EstimateSnapshot AisEstimator::Snapshot() const {
   EstimateSnapshot snap;
   const double denom = alpha_ * den_pred_ + (1.0 - alpha_) * den_true_;

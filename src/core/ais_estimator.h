@@ -3,6 +3,7 @@
 
 #include <cstdint>
 
+#include "common/logging.h"
 #include "sampling/sampler.h"
 
 namespace oasis {
@@ -16,7 +17,10 @@ namespace oasis {
 ///   den_true = sum_t w_t l_t
 /// from which F_alpha = num / (alpha den_pred + (1-alpha) den_true),
 /// precision = num / den_pred, and recall = num / den_true all follow — the
-/// alpha=1 and alpha=0 specialisations of the same statistic.
+/// alpha=1 and alpha=0 specialisations of the same statistic. Every sampler
+/// with a plain weighted estimate keeps one: OASIS (w_t = omega_k / v_k),
+/// IS and OracleOptimal (static weights) and Passive (w = 1, which reduces
+/// Eqn. 3 to the sample statistic of Eqn. 1).
 class AisEstimator {
  public:
   /// `alpha` is the F-measure weight the F_alpha snapshot reports (the sums
@@ -24,7 +28,14 @@ class AisEstimator {
   explicit AisEstimator(double alpha);
 
   /// Folds one weighted observation (w_t, l_t, l-hat_t) into the sums.
-  void Add(double weight, bool label, bool prediction);
+  /// Inline: every sampler's tally loop calls it once per label.
+  void Add(double weight, bool label, bool prediction) {
+    OASIS_DCHECK(weight >= 0.0);
+    if (label && prediction) num_ += weight;
+    if (prediction) den_pred_ += weight;
+    if (label) den_true_ += weight;
+    ++observations_;
+  }
 
   /// Current snapshot; fields are undefined until the corresponding
   /// denominator is positive (the 0/0 regime of Eqn. 3).

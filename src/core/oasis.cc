@@ -184,7 +184,71 @@ Status OasisSampler::InitAlias() {
   return Status::OK();
 }
 
-Status OasisSampler::StepAlias() {
+Status OasisSampler::DoStepBatch(int64_t n) {
+  // OASIS is sequentially adaptive: the instrumental distribution for step
+  // t + 1 depends on the oracle label observed at step t, so — unlike the
+  // static samplers — a batch cannot pre-draw its items and amortise oracle
+  // round-trips through LabelCache::QueryBatch without changing the
+  // algorithm. Each iteration is one draw (lines 3-5) and the shared tail.
+  for (int64_t i = 0; i < n; ++i) {
+    OASIS_ASSIGN_OR_RETURN(const StratumDraw draw, Draw());
+    OASIS_RETURN_NOT_OK(CompleteStep(draw));
+  }
+  return Status::OK();
+}
+
+Result<OasisSampler::StratumDraw> OasisSampler::Draw() {
+  // Degraded mode: a fixed, fully-supported instrumental. The posterior and
+  // the monitor keep updating (diagnostics and a possible recovery analysis),
+  // but the sampling distribution no longer adapts.
+  if (degraded_ && options_.freeze_instrumental_on_degrade) {
+    return DrawFromScratch();
+  }
+  switch (options_.step_path) {
+    case OasisStepPath::kAllocatingReference:
+      return DrawAllocatingReference();
+    case OasisStepPath::kAlias:
+      return DrawAlias();
+    case OasisStepPath::kFused:
+      break;
+  }
+  return DrawFused();
+}
+
+OasisSampler::StratumDraw OasisSampler::DrawFused() {
+  // Line 3: v(t) from the current posterior means and F estimate, in two
+  // O(K) passes with no allocation.
+  BuildInstrumental(Clamp(estimator_.FAlphaOr(initial_f_), 0.0, 1.0),
+                    v_scratch_.data(), running_scratch_.data());
+  return DrawFromScratch();
+}
+
+OasisSampler::StratumDraw OasisSampler::DrawFromScratch() {
+  // Lines 4-5: stratum ~ v(t).
+  const size_t k =
+      rng().NextDiscreteFromRunningSums(v_scratch_, running_scratch_);
+  return {k, v_scratch_[k]};
+}
+
+Result<OasisSampler::StratumDraw> OasisSampler::DrawAllocatingReference() {
+  // Line 3: v(t) from the current posterior means and F estimate, with the
+  // initial Algorithm-2 guess standing in until Eqn. (3) is defined.
+  const double f_current = estimator_.FAlphaOr(initial_f_);
+  {
+    std::vector<double> pi = model_.PosteriorMeans();
+    OASIS_ASSIGN_OR_RETURN(
+        std::vector<double> v_star,
+        OptimalStratifiedInstrumental(strata_->weights(), lambda_, pi, f_current,
+                                      options_.alpha));
+    OASIS_ASSIGN_OR_RETURN(
+        v_scratch_, EpsilonGreedyMix(strata_->weights(), v_star, active_epsilon_));
+  }
+  // Lines 4-5: stratum ~ v(t) by a linear scan.
+  const size_t k = rng().NextDiscreteLinear(v_scratch_);
+  return StratumDraw{k, v_scratch_[k]};
+}
+
+OasisSampler::StratumDraw OasisSampler::DrawAlias() {
   // Line 3 analogue: the alias table is a frozen snapshot of v*, so two
   // things drift — F-hat away from the build point, and the posterior masses
   // away from the snapshot (the table cannot absorb per-stratum point
@@ -217,33 +281,34 @@ Status OasisSampler::StepAlias() {
 
   // Lines 4-5: the epsilon-greedy mix as a two-component mixture, both
   // components O(1) alias draws — with probability epsilon a stratum ~ omega,
-  // otherwise ~ the v* snapshot — then an item uniform within the stratum.
+  // otherwise ~ the v* snapshot. The probability handed to the tail is that
+  // of the mixture actually sampled — consistency holds at any staleness
+  // because the epsilon component keeps full support.
   size_t k;
   if (alias_degenerate_ || rng().NextDouble() < active_epsilon_) {
     k = weights_alias_.Sample(rng());
   } else {
     k = v_alias_.Sample(rng());
   }
+  return {k, AliasMixtureProbability(k)};
+}
+
+Status OasisSampler::CompleteStep(StratumDraw draw) {
+  const size_t k = draw.stratum;
+  // Line 5 (item half): an item uniform within the stratum.
   const int64_t item = strata_->SampleItem(k, rng());
 
-  // Line 6: w_t = omega_k / v_k with v_k of the distribution the draw above
-  // actually used — consistency holds at any staleness because the epsilon
-  // component keeps full support.
-  const double weight = strata_->weight(k) / AliasMixtureProbability(k);
+  // Line 6: importance weight w_t = omega_k / v_k, since p(z) = 1/N and
+  // q_t(z) = v_k / |P_k|, with v_k of the distribution the draw actually
+  // used. The epsilon floor bounds this by 1/epsilon.
+  const double weight = strata_->weight(k) / draw.probability;
 
   // Lines 7-8: query oracle, read prediction.
   OASIS_ASSIGN_OR_RETURN(const bool label, QueryLabel(item));
   const bool prediction = pool().predictions[static_cast<size_t>(item)] != 0;
 
-  // Lines 9-11: posterior update and AIS sums, plus O(1) maintenance of the
-  // L1 drift between the live masses and the frozen snapshot — only stratum
-  // k's posterior mean (and hence its mass under the build-point F) moved.
+  // Lines 9-11: posterior update and AIS sums.
   ObserveLabel(k, label);
-  const double new_live = StratumMass(k, alias_f_);
-  alias_drift_ += std::fabs(new_live - alias_snapshot_mass_[k]) -
-                  std::fabs(alias_live_mass_[k] - alias_snapshot_mass_[k]);
-  if (alias_drift_ < 0.0) alias_drift_ = 0.0;  // FP cancellation guard.
-  alias_live_mass_[k] = new_live;
   estimator_.Add(weight, label, prediction);
   if (observer_) observer_(weight, label, prediction);
   monitor_.Observe(weight);
@@ -258,6 +323,15 @@ void OasisSampler::ObserveLabel(size_t stratum, bool label) {
   // so a single refresh keeps the caches exact.
   pi_cache_[stratum] = model_.PosteriorMean(stratum);
   sqrt_pi_cache_[stratum] = std::sqrt(pi_cache_[stratum]);
+  if (options_.step_path != OasisStepPath::kAlias) return;
+  // kAlias: O(1) maintenance of the L1 drift between the live masses and the
+  // frozen snapshot — only this stratum's mass under the build-point F moved.
+  const double snapshot = alias_snapshot_mass_[stratum];
+  const double new_live = StratumMass(stratum, alias_f_);
+  alias_drift_ += std::fabs(new_live - snapshot) -
+                  std::fabs(alias_live_mass_[stratum] - snapshot);
+  if (alias_drift_ < 0.0) alias_drift_ = 0.0;  // FP cancellation guard.
+  alias_live_mass_[stratum] = new_live;
 }
 
 void OasisSampler::BuildInstrumental(double f, double* OASIS_RESTRICT v,
@@ -291,74 +365,6 @@ void OasisSampler::BuildInstrumental(double f, double* OASIS_RESTRICT v,
   }
 }
 
-Status OasisSampler::StepFused() {
-  // Line 3: v(t) from the current posterior means and F estimate, in two
-  // O(K) passes with no allocation.
-  BuildInstrumental(Clamp(estimator_.FAlphaOr(initial_f_), 0.0, 1.0),
-                    v_scratch_.data(), running_scratch_.data());
-
-  // Lines 4-5: stratum ~ v(t), item uniform within the stratum.
-  const size_t k =
-      rng().NextDiscreteFromRunningSums(v_scratch_, running_scratch_);
-  const int64_t item = strata_->SampleItem(k, rng());
-
-  // Line 6: importance weight w_t = omega_k / v_k, since p(z) = 1/N and
-  // q_t(z) = v_k / |P_k|. The epsilon floor bounds this by 1/epsilon.
-  const double weight = strata_->weight(k) / v_scratch_[k];
-
-  // Lines 7-8: query oracle, read prediction.
-  OASIS_ASSIGN_OR_RETURN(const bool label, QueryLabel(item));
-  const bool prediction = pool().predictions[static_cast<size_t>(item)] != 0;
-
-  // Lines 9-11: posterior update and AIS sums.
-  ObserveLabel(k, label);
-  estimator_.Add(weight, label, prediction);
-  if (observer_) observer_(weight, label, prediction);
-  monitor_.Observe(weight);
-  RecordOasisStepTelemetry(weight);
-  MaybeDegrade();
-  return Status::OK();
-}
-
-Status OasisSampler::StepAllocatingReference() {
-  const size_t num_strata = strata_->num_strata();
-
-  // Line 3: v(t) from the current posterior means and F estimate, with the
-  // initial Algorithm-2 guess standing in until Eqn. (3) is defined.
-  const double f_current = estimator_.FAlphaOr(initial_f_);
-  v_scratch_.resize(num_strata);
-  {
-    std::vector<double> pi = model_.PosteriorMeans();
-    OASIS_ASSIGN_OR_RETURN(
-        std::vector<double> v_star,
-        OptimalStratifiedInstrumental(strata_->weights(), lambda_, pi, f_current,
-                                      options_.alpha));
-    OASIS_ASSIGN_OR_RETURN(
-        v_scratch_, EpsilonGreedyMix(strata_->weights(), v_star, active_epsilon_));
-  }
-
-  // Lines 4-5: stratum ~ v(t), item uniform within the stratum.
-  const size_t k = rng().NextDiscreteLinear(v_scratch_);
-  const int64_t item = strata_->SampleItem(k, rng());
-
-  // Line 6: importance weight w_t = omega_k / v_k, since p(z) = 1/N and
-  // q_t(z) = v_k / |P_k|. The epsilon floor bounds this by 1/epsilon.
-  const double weight = strata_->weight(k) / v_scratch_[k];
-
-  // Lines 7-8: query oracle, read prediction.
-  OASIS_ASSIGN_OR_RETURN(const bool label, QueryLabel(item));
-  const bool prediction = pool().predictions[static_cast<size_t>(item)] != 0;
-
-  // Lines 9-11: posterior update and AIS sums.
-  ObserveLabel(k, label);
-  estimator_.Add(weight, label, prediction);
-  if (observer_) observer_(weight, label, prediction);
-  monitor_.Observe(weight);
-  RecordOasisStepTelemetry(weight);
-  MaybeDegrade();
-  return Status::OK();
-}
-
 void OasisSampler::MaybeDegrade() {
   if (!options_.degrade_on_degeneracy || degraded_ || !monitor_.degenerate()) {
     return;
@@ -380,88 +386,11 @@ void OasisSampler::MaybeDegrade() {
   }
   active_epsilon_ = std::max(options_.epsilon, options_.degraded_epsilon);
   if (options_.freeze_instrumental_on_degrade) {
-    CaptureFrozenInstrumental();
-    frozen_ = true;
+    // Freeze: build v(t) one last time, under the boosted floor, into the
+    // fused scratch; Draw() now only draws from it.
+    BuildInstrumental(Clamp(estimator_.FAlphaOr(initial_f_), 0.0, 1.0),
+                      v_scratch_.data(), running_scratch_.data());
   }
-}
-
-void OasisSampler::CaptureFrozenInstrumental() {
-  const size_t num_strata = strata_->num_strata();
-  frozen_v_.resize(num_strata);
-  frozen_running_.resize(num_strata);
-  BuildInstrumental(Clamp(estimator_.FAlphaOr(initial_f_), 0.0, 1.0),
-                    frozen_v_.data(), frozen_running_.data());
-}
-
-Status OasisSampler::StepFrozen() {
-  // Degraded mode: a fixed, fully-supported instrumental. The posterior and
-  // the monitor keep updating (diagnostics and a possible recovery analysis),
-  // but the sampling distribution no longer adapts.
-  const size_t k =
-      rng().NextDiscreteFromRunningSums(frozen_v_, frozen_running_);
-  const int64_t item = strata_->SampleItem(k, rng());
-  const double weight = strata_->weight(k) / frozen_v_[k];
-  OASIS_ASSIGN_OR_RETURN(const bool label, QueryLabel(item));
-  const bool prediction = pool().predictions[static_cast<size_t>(item)] != 0;
-  ObserveLabel(k, label);
-  estimator_.Add(weight, label, prediction);
-  if (observer_) observer_(weight, label, prediction);
-  monitor_.Observe(weight);
-  RecordOasisStepTelemetry(weight);
-  return Status::OK();
-}
-
-Status OasisSampler::Step() {
-  if (frozen_) return StepFrozen();
-  switch (options_.step_path) {
-    case OasisStepPath::kAllocatingReference:
-      return StepAllocatingReference();
-    case OasisStepPath::kAlias:
-      return StepAlias();
-    case OasisStepPath::kFused:
-      break;
-  }
-  return StepFused();
-}
-
-Status OasisSampler::StepBatch(int64_t n) {
-  if (n < 0) {
-    return Status::InvalidArgument("StepBatch: n must be non-negative");
-  }
-  // OASIS is sequentially adaptive: the instrumental distribution for step
-  // t + 1 depends on the oracle label observed at step t, so — unlike the
-  // static samplers — a batch cannot pre-draw its items and amortise oracle
-  // round-trips through LabelCache::QueryBatch without changing the
-  // algorithm. The batch win here is hoisting the path dispatch out of the
-  // loop; label-level batching for the static samplers lives in their own
-  // StepBatch overrides.
-  if (options_.degrade_on_degeneracy) {
-    // The degradation hook can flip the step path mid-batch; take the
-    // dispatching loop so the transition lands on the exact step the monitor
-    // fired (identical to n sequential Step() calls by construction).
-    for (int64_t i = 0; i < n; ++i) {
-      OASIS_RETURN_NOT_OK(Step());
-    }
-    return Status::OK();
-  }
-  switch (options_.step_path) {
-    case OasisStepPath::kAllocatingReference:
-      for (int64_t i = 0; i < n; ++i) {
-        OASIS_RETURN_NOT_OK(StepAllocatingReference());
-      }
-      return Status::OK();
-    case OasisStepPath::kAlias:
-      for (int64_t i = 0; i < n; ++i) {
-        OASIS_RETURN_NOT_OK(StepAlias());
-      }
-      return Status::OK();
-    case OasisStepPath::kFused:
-      break;
-  }
-  for (int64_t i = 0; i < n; ++i) {
-    OASIS_RETURN_NOT_OK(StepFused());
-  }
-  return Status::OK();
 }
 
 EstimateSnapshot OasisSampler::Estimate() const { return estimator_.Snapshot(); }

@@ -16,7 +16,10 @@
 
 namespace oasis {
 
-/// Which Step() implementation OasisSampler runs. kFused and
+/// How OasisSampler runs lines 3-5 of Algorithm 3: choose v(t) and draw a
+/// stratum k with its probability v_k. Lines 6-11 (item, weight
+/// omega_k / v_k, oracle query, posterior and AIS updates) are one shared
+/// tail whatever the path. kFused and
 /// kAllocatingReference produce bit-identical sampling sequences from the
 /// same seed (the fused path is simply faster); kAlias samples from the same
 /// instrumental distribution up to a configurable staleness tolerance but
@@ -126,11 +129,6 @@ class OasisSampler : public Sampler {
       const ScoredPool* pool, LabelCache* labels, size_t target_strata,
       const OasisOptions& options, Rng rng);
 
-  /// One Algorithm-3 iteration through the configured step_path.
-  Status Step() override;
-  /// `n` iterations with the path dispatch hoisted out of the loop; exactly
-  /// equivalent to `n` calls to Step().
-  Status StepBatch(int64_t n) override;
   /// Current F_alpha / precision / recall snapshot of the AIS estimator.
   EstimateSnapshot Estimate() const override;
   /// "OASIS-<K>" with K the realised stratum count.
@@ -197,30 +195,43 @@ class OasisSampler : public Sampler {
                Rng rng, StratifiedBetaModel model, std::vector<double> lambda,
                double initial_f);
 
-  /// The zero-allocation fused iteration (OasisStepPath::kFused).
-  Status StepFused();
+  /// What lines 3-5 hand to the shared tail: the stratum drawn and the
+  /// probability v_k of the distribution the draw actually used.
+  struct StratumDraw {
+    size_t stratum = 0;
+    double probability = 0.0;
+  };
+
+  /// `n` Algorithm-3 iterations, each one draw then CompleteStep.
+  Status DoStepBatch(int64_t n) override;
+  /// Lines 3-5 through the configured step_path — or, once degraded with
+  /// freeze_instrumental_on_degrade, through DrawFromScratch alone (the
+  /// refresh is skipped, so v(t) stays as MaybeDegrade built it).
+  Result<StratumDraw> Draw();
+  /// OasisStepPath::kFused: BuildInstrumental, then DrawFromScratch.
+  StratumDraw DrawFused();
+  /// Stratum ~ the v(t) held in v_scratch_ / running_scratch_, by an
+  /// O(log K) search over the running sums.
+  StratumDraw DrawFromScratch();
+  /// OasisStepPath::kAllocatingReference: the original allocating v(t) and
+  /// linear draw, kept as reference and benchmark baseline.
+  Result<StratumDraw> DrawAllocatingReference();
+  /// OasisStepPath::kAlias: rebuild the alias table if it drifted, then an
+  /// O(1) two-component mixture draw.
+  StratumDraw DrawAlias();
+  /// Lines 6-11, shared by every path: item uniform within the stratum,
+  /// w_t = omega_k / v_k, oracle query, posterior update, AIS sums,
+  /// observer, monitor, telemetry and MaybeDegrade.
+  Status CompleteStep(StratumDraw draw);
   /// Line 3 of Algorithm 3 in two O(K) passes: writes the epsilon-greedy
   /// instrumental v(t) under F estimate `f` into `v` and its in-order running
   /// sums into `running_sums` (both num_strata long), ready for
   /// Rng::NextDiscreteFromRunningSums. Bit-identical to the reference path's
   /// OptimalStratifiedInstrumental + EpsilonGreedyMix.
   void BuildInstrumental(double f, double* v, double* running_sums) const;
-  /// The original allocating iteration, kept as reference and benchmark
-  /// baseline (OasisStepPath::kAllocatingReference).
-  Status StepAllocatingReference();
-  /// The O(1) alias-table iteration (OasisStepPath::kAlias).
-  Status StepAlias();
-  /// The degraded-mode iteration: draw from the frozen instrumental
-  /// distribution, weight against it (full support — consistency holds),
-  /// keep posterior and diagnostics updating.
-  Status StepFrozen();
   /// Fires the graceful degradation once the monitor reports a degenerate
   /// weight history (no-op unless OasisOptions::degrade_on_degeneracy).
   void MaybeDegrade();
-  /// Snapshots the current epsilon-greedy instrumental and its running sums
-  /// into frozen_v_ / frozen_running_ (under the boosted floor) for
-  /// StepFrozen.
-  void CaptureFrozenInstrumental();
   /// One-time kAlias setup: the weights alias table, the mass scratch and
   /// the initial v* alias table. Called from Create() so construction can
   /// still fail cleanly.
@@ -230,15 +241,17 @@ class OasisSampler : public Sampler {
   double StratumMass(size_t k, double f) const;
   /// Probability of stratum k under the epsilon-greedy mixture the alias
   /// draw actually samples from (alias_degenerate_ selects the omega
-  /// fallback). Single source of truth shared by StepAlias's importance
-  /// weight and AliasInstrumental.
+  /// fallback). Single source of truth shared by DrawAlias and
+  /// AliasInstrumental.
   double AliasMixtureProbability(size_t k) const;
   /// Recomputes every alias mass under `f` in O(K) (no allocation once
   /// built), refreshes the v* alias table in place and resets the drift
   /// accumulators.
   void RebuildAliasMasses(double f);
-  /// Records the label in the beta posterior and refreshes the incremental
-  /// caches for the observed stratum (the only one whose mean can change).
+  /// Records the label in the beta posterior and refreshes the per-stratum
+  /// caches of the observed stratum (the only one whose mean can change):
+  /// the posterior-mean caches and, on kAlias, its live mass and the L1
+  /// drift against the alias snapshot.
   void ObserveLabel(size_t stratum, bool label);
 
   std::shared_ptr<const Strata> strata_;
@@ -256,17 +269,14 @@ class OasisSampler : public Sampler {
   // directly, so the boost applies uniformly.
   double active_epsilon_ = 0.0;
   bool degraded_ = false;
-  // When true, Step() routes to StepFrozen() over frozen_v_.
-  bool frozen_ = false;
-  std::vector<double> frozen_v_;
-  std::vector<double> frozen_running_;
   // Scratch buffers reused across iterations to avoid per-step allocation:
-  // the instrumental v(t) and (fused path) its running sums.
+  // the instrumental v(t) and (fused path) its running sums. Once degraded
+  // with freeze_instrumental_on_degrade they hold the frozen v(t).
   std::vector<double> v_scratch_;
   std::vector<double> running_scratch_;
   // --- Fused-path state --------------------------------------------------
   // Incrementally-maintained posterior means pi-hat_k and their square roots;
-  // ObserveLabel refreshes only the observed stratum, so Step() never
+  // ObserveLabel refreshes only the observed stratum, so a step never
   // recomputes the full posterior. Values are bit-identical to
   // model_.PosteriorMeans() at all times.
   std::vector<double> pi_cache_;
@@ -287,8 +297,8 @@ class OasisSampler : public Sampler {
   AliasTable v_alias_;
   // The masses the table was built from (the snapshot the drift accumulator
   // measures against) and the live masses as they evolve with the posterior.
-  // alias_live_mass_ is maintained incrementally: ObserveLabel-adjacent code
-  // refreshes only the observed stratum.
+  // alias_live_mass_ is maintained incrementally: ObserveLabel refreshes only
+  // the observed stratum.
   std::vector<double> alias_snapshot_mass_;
   std::vector<double> alias_live_mass_;
   // F-hat the alias masses were last (re)built with; < 0 until InitAlias.

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/alias_table.h"
+#include "core/ais_estimator.h"
 #include "sampling/sampler.h"
 #include "stats/degeneracy.h"
 
@@ -50,9 +51,7 @@ class ImportanceSampler : public Sampler {
       const ScoredPool* pool, LabelCache* labels, const ImportanceOptions& options,
       Rng rng);
 
-  Status Step() override;
-  Status StepBatch(int64_t n) override;
-  EstimateSnapshot Estimate() const override;
+  EstimateSnapshot Estimate() const override { return estimator_.Snapshot(); }
   std::string name() const override { return "IS"; }
 
   /// The normalised instrumental probability of each item (diagnostics).
@@ -73,6 +72,7 @@ class ImportanceSampler : public Sampler {
   ImportanceSampler(const ScoredPool* pool, LabelCache* labels,
                     const ImportanceOptions& options, Rng rng);
 
+  Status DoStepBatch(int64_t n) override;
   Status BuildInstrumental();
 
   ImportanceOptions options_;
@@ -81,11 +81,7 @@ class ImportanceSampler : public Sampler {
   AliasTable alias_;
   double f_guess_ = 0.0;
   DegeneracyMonitor monitor_;
-
-  // Running weighted sums of Eqn. (3).
-  double num_ = 0.0;        // sum w * l * l-hat
-  double den_pred_ = 0.0;   // sum w * l-hat
-  double den_true_ = 0.0;   // sum w * l
+  AisEstimator estimator_;
 };
 
 /// Maps a raw similarity score to a pseudo-probability in (0, 1): identity

@@ -1,5 +1,6 @@
 #include "sampling/oracle_sampler.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "core/instrumental.h"
@@ -14,7 +15,8 @@ OracleOptimalSampler::OracleOptimalSampler(const ScoredPool* pool,
                                            Rng rng)
     : Sampler(pool, labels, alpha, rng),
       strata_(std::move(strata)),
-      v_(std::move(v)) {}
+      v_(std::move(v)),
+      estimator_(alpha) {}
 
 Result<std::unique_ptr<OracleOptimalSampler>> OracleOptimalSampler::Create(
     const ScoredPool* pool, LabelCache* labels,
@@ -59,34 +61,21 @@ Result<std::unique_ptr<OracleOptimalSampler>> OracleOptimalSampler::Create(
       pool, labels, std::move(strata), std::move(v), alpha, rng));
 }
 
-Status OracleOptimalSampler::Step() {
-  const size_t k = rng().NextDiscreteLinear(v_);
-  const int64_t item = strata_->SampleItem(k, rng());
-  const double weight = strata_->weight(k) / v_[k];
-  OASIS_ASSIGN_OR_RETURN(const bool label, QueryLabel(item));
-  const bool prediction = pool().predictions[static_cast<size_t>(item)] != 0;
-  if (label && prediction) num_ += weight;
-  if (prediction) den_pred_ += weight;
-  if (label) den_true_ += weight;
-  return Status::OK();
-}
-
-EstimateSnapshot OracleOptimalSampler::Estimate() const {
-  EstimateSnapshot snap;
-  const double denom = alpha() * den_pred_ + (1.0 - alpha()) * den_true_;
-  if (denom > 0.0) {
-    snap.f_alpha = num_ / denom;
-    snap.f_defined = true;
-  }
-  if (den_pred_ > 0.0) {
-    snap.precision = num_ / den_pred_;
-    snap.precision_defined = true;
-  }
-  if (den_true_ > 0.0) {
-    snap.recall = num_ / den_true_;
-    snap.recall_defined = true;
-  }
-  return snap;
+Status OracleOptimalSampler::DoStepBatch(int64_t n) {
+  // A fixed instrumental: the draws never depend on the labels.
+  const uint8_t* predictions = pool().predictions.data();
+  batch_weights_.resize(static_cast<size_t>(std::min(n, kQueryBatchChunk)));
+  return BatchedSteps(
+      n,
+      [&](int64_t i) {
+        const size_t k = rng().NextDiscreteLinear(v_);
+        batch_weights_[static_cast<size_t>(i)] = strata_->weight(k) / v_[k];
+        return static_cast<int64_t>(strata_->SampleItem(k, rng()));
+      },
+      [&](int64_t i, int64_t item, bool label) {
+        estimator_.Add(batch_weights_[static_cast<size_t>(i)], label,
+                       predictions[static_cast<size_t>(item)] != 0);
+      });
 }
 
 }  // namespace oasis

@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/ais_estimator.h"
 #include "sampling/sampler.h"
 #include "strata/strata.h"
 
@@ -28,8 +29,7 @@ class OracleOptimalSampler : public Sampler {
       std::shared_ptr<const Strata> strata, std::span<const uint8_t> truth,
       double alpha, double epsilon, Rng rng);
 
-  Status Step() override;
-  EstimateSnapshot Estimate() const override;
+  EstimateSnapshot Estimate() const override { return estimator_.Snapshot(); }
   std::string name() const override { return "OracleOptimal"; }
 
   /// The fixed instrumental distribution over strata.
@@ -40,12 +40,14 @@ class OracleOptimalSampler : public Sampler {
                        std::shared_ptr<const Strata> strata,
                        std::vector<double> v, double alpha, Rng rng);
 
+  Status DoStepBatch(int64_t n) override;
+
   std::shared_ptr<const Strata> strata_;
   std::vector<double> v_;
-  // Running weighted sums of Eqn. (3).
-  double num_ = 0.0;
-  double den_pred_ = 0.0;
-  double den_true_ = 0.0;
+  AisEstimator estimator_;
+  // Scratch: importance weight per BatchedSteps draw position; one chunk
+  // long.
+  std::vector<double> batch_weights_;
 };
 
 }  // namespace oasis

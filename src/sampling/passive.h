@@ -3,6 +3,7 @@
 
 #include <memory>
 
+#include "core/ais_estimator.h"
 #include "sampling/sampler.h"
 
 namespace oasis {
@@ -10,7 +11,8 @@ namespace oasis {
 /// Passive (uniform i.i.d.) sampler — the paper's first baseline.
 ///
 /// Each iteration draws a pool item uniformly with replacement, queries its
-/// label, and estimates F_alpha with the plain sample statistic of Eqn. (1).
+/// label, and estimates F_alpha with the plain sample statistic of Eqn. (1)
+/// — the AIS estimator with every weight 1.
 /// Under ER's extreme class imbalance the estimator stays undefined until the
 /// first (predicted or true) positive is drawn, which is exactly the failure
 /// mode the paper illustrates on DBLP-ACM.
@@ -21,18 +23,15 @@ class PassiveSampler : public Sampler {
                                                         LabelCache* labels,
                                                         double alpha, Rng rng);
 
-  Status Step() override;
-  Status StepBatch(int64_t n) override;
-  EstimateSnapshot Estimate() const override;
+  EstimateSnapshot Estimate() const override { return estimator_.Snapshot(); }
   std::string name() const override { return "Passive"; }
 
  private:
   PassiveSampler(const ScoredPool* pool, LabelCache* labels, double alpha, Rng rng);
 
-  // Unweighted running counts over sampled (label, prediction) draws.
-  double tp_ = 0.0;
-  double predicted_pos_ = 0.0;
-  double actual_pos_ = 0.0;
+  Status DoStepBatch(int64_t n) override;
+
+  AisEstimator estimator_;
 };
 
 }  // namespace oasis

@@ -57,10 +57,7 @@ Status Sampler::StepBatch(int64_t n) {
   if (n < 0) {
     return Status::InvalidArgument("StepBatch: n must be non-negative");
   }
-  for (int64_t i = 0; i < n; ++i) {
-    OASIS_RETURN_NOT_OK(Step());
-  }
-  return Status::OK();
+  return DoStepBatch(n);
 }
 
 }  // namespace oasis

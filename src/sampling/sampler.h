@@ -54,12 +54,18 @@ struct EstimateSnapshot {
 };
 
 /// Base class for all pool evaluation samplers (Passive, Stratified, IS,
-/// OASIS). One Step() = one sampling iteration: draw a pool item according to
-/// the method's (possibly adaptive) distribution, query the oracle through
-/// the shared LabelCache, and fold the observation into the running
-/// estimator. Sampling is with replacement; budget accounting (first query
-/// per item is charged, replays are free for deterministic oracles) is
-/// centralised in LabelCache.
+/// OracleOptimal, OASIS). One Step() = one sampling iteration: draw a pool
+/// item according to the method's (possibly adaptive) distribution, query
+/// the oracle through the shared LabelCache, and fold the observation into
+/// the running estimator. Sampling is with replacement; budget accounting
+/// (first query per item is charged, replays are free for deterministic
+/// oracles) is centralised in LabelCache.
+///
+/// StepBatch is the single step entry point and DoStepBatch the single step
+/// virtual: each sampler has exactly one step loop. The samplers whose draws
+/// ignore the labels run it through BatchedSteps, in chunks of one when the
+/// oracle consumes the RNG; OASIS runs draw -> shared Algorithm-3 tail per
+/// iteration.
 class Sampler {
  public:
   virtual ~Sampler() = default;
@@ -67,17 +73,15 @@ class Sampler {
   Sampler(const Sampler&) = delete;
   Sampler& operator=(const Sampler&) = delete;
 
-  /// Performs one sampling iteration.
-  virtual Status Step() = 0;
+  /// Performs one sampling iteration: exactly StepBatch(1).
+  Status Step() { return StepBatch(1); }
 
-  /// Performs `n` sampling iterations as one call. Behaviourally identical to
-  /// calling Step() `n` times — same RNG stream, same oracle queries, same
-  /// estimate sequence — but lets implementations amortise virtual dispatch,
-  /// validation and invariant loads across the batch. Subclasses that
-  /// override it must preserve the exact per-step equivalence (it is tested).
-  /// The base implementation simply loops Step(). n must be >= 0; n == 0 is a
-  /// no-op.
-  virtual Status StepBatch(int64_t n);
+  /// Performs `n` sampling iterations as one call — the single step entry
+  /// point. Checks n once here (n must be >= 0; n == 0 is a no-op), then
+  /// runs the sampler's one step loop, DoStepBatch. Any split of n into
+  /// calls gives the same RNG stream, oracle queries and estimate sequence
+  /// (tested), so StepBatch(n) is n calls to Step().
+  Status StepBatch(int64_t n);
 
   /// Current estimates of F_alpha / precision / recall.
   virtual EstimateSnapshot Estimate() const = 0;
@@ -105,18 +109,24 @@ class Sampler {
   double alpha() const { return alpha_; }
 
  protected:
-  /// Chunk size used by the batched StepBatch overrides: items are drawn and
-  /// queried in groups of at most this many, bounding scratch memory while
-  /// still amortising the oracle round-trip.
+  /// Chunk size used by BatchedSteps when CanBatchQueries(): items are drawn
+  /// and queried in groups of at most this many, bounding scratch memory
+  /// while still amortising the oracle round-trip.
   static constexpr int64_t kQueryBatchChunk = 512;
 
   /// `pool` and `labels` must outlive the sampler.
   Sampler(const ScoredPool* pool, LabelCache* labels, double alpha, Rng rng);
 
+  /// The sampler's one step loop: `n` >= 0 iterations (StepBatch has checked
+  /// n). The only step virtual. On an oracle failure it returns the error
+  /// with every completed iteration applied and the failing one not applied
+  /// at all (its only trace is the RNG it consumed).
+  virtual Status DoStepBatch(int64_t n) = 0;
+
   /// Queries the oracle for `item` and bumps the iteration counter — AFTER
   /// the label arrives, so a failed query (fallible oracle stack) leaves the
   /// sampler's counters untouched and the step can be reported as never
-  /// having happened (exception safety of Step/StepBatch).
+  /// having happened (exception safety of StepBatch).
   Result<bool> QueryLabel(int64_t item);
 
   /// Queries the oracle for a batch of items in one LabelCache::QueryBatch
@@ -132,20 +142,21 @@ class Sampler {
   /// deviates. Note this is deliberately NOT Oracle::deterministic() — a
   /// NoisyOracle with degenerate {0,1} probabilities is deterministic yet
   /// still burns one deviate per labelled miss, which would reorder the
-  /// stream. Samplers with static instrumental distributions gate their
-  /// batched StepBatch fast path on this and fall back to the per-step loop
-  /// otherwise.
+  /// stream. BatchedSteps sizes its chunks on this.
   bool CanBatchQueries() const {
     return !labels_->oracle().labelling_consumes_rng();
   }
 
-  /// Shared scaffold of the batched StepBatch fast paths: runs `n`
-  /// iterations in chunks of kQueryBatchChunk, pre-drawing each chunk's
-  /// items via `draw` and resolving them in ONE LabelCache::QueryBatch
-  /// round-trip before tallying. Only valid when CanBatchQueries() — the
-  /// pre-draw reorders item draws relative to label queries, which is
-  /// stream-preserving exactly when labelling is RNG-free, making this the
-  /// identical item/label/counter sequence as `n` sequential Step() calls.
+  /// The step loop of every sampler whose draws do not depend on the labels
+  /// (all but OASIS): runs `n` iterations in chunks, pre-drawing each
+  /// chunk's items via `draw` and resolving them in ONE LabelCache::QueryBatch
+  /// round-trip before tallying. Chunks hold kQueryBatchChunk items when
+  /// CanBatchQueries() and one item otherwise. A chunk of one is the plain
+  /// draw -> query -> tally interleave (QueryBatch of one item equals
+  /// TryQuery in labels, counters, RNG stream and remote/retry accounting);
+  /// a longer chunk reorders item draws before label queries, which keeps
+  /// the stream exactly when labelling is RNG-free. Either way the
+  /// item/label/counter sequence is that of `n` sequential Step() calls.
   ///
   /// `draw(i)` returns the item for chunk position i (and may record side
   /// state, e.g. the stratum it drew); `tally(i, item, label)` folds the
@@ -155,8 +166,9 @@ class Sampler {
   /// allocate.
   template <typename DrawFn, typename TallyFn>
   Status BatchedSteps(int64_t n, DrawFn&& draw, TallyFn&& tally) {
+    const int64_t max_chunk = CanBatchQueries() ? kQueryBatchChunk : 1;
     for (int64_t done = 0; done < n;) {
-      const int64_t chunk = std::min(kQueryBatchChunk, n - done);
+      const int64_t chunk = std::min(max_chunk, n - done);
       batch_items_.resize(static_cast<size_t>(chunk));
       batch_labels_.resize(static_cast<size_t>(chunk));
       for (int64_t i = 0; i < chunk; ++i) {

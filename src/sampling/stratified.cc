@@ -35,49 +35,28 @@ Result<std::unique_ptr<StratifiedSampler>> StratifiedSampler::Create(
       new StratifiedSampler(pool, labels, std::move(strata), alpha, rng));
 }
 
-Status StratifiedSampler::Step() { return StepBatch(1); }
-
-Status StratifiedSampler::StepBatch(int64_t n) {
-  if (n < 0) {
-    return Status::InvalidArgument("StepBatch: n must be non-negative");
-  }
+Status StratifiedSampler::DoStepBatch(int64_t n) {
   // Proportional allocation: stratum ~ omega, item ~ Uniform(P_k), with
-  // invariant loads hoisted out of the loop.
+  // invariant loads hoisted out of the loop. The allocation never depends on
+  // observed labels, so a chunk's draws can happen up front; the draw
+  // callback records each position's stratum for the tally.
   const std::vector<double>& omega = strata_->weights();
   const uint8_t* predictions = pool().predictions.data();
-
-  if (CanBatchQueries()) {
-    // The proportional allocation never depends on observed labels, so the
-    // stratum/item draws of a whole chunk can happen up front; the draw
-    // callback records each position's stratum for the tally.
-    batch_strata_.resize(static_cast<size_t>(std::min(n, kQueryBatchChunk)));
-    return BatchedSteps(
-        n,
-        [&](int64_t i) {
-          const size_t k = rng().NextDiscreteLinear(omega);
-          batch_strata_[static_cast<size_t>(i)] = k;
-          return static_cast<int64_t>(strata_->SampleItem(k, rng()));
-        },
-        [&](int64_t i, int64_t item, bool label) {
-          const size_t k = batch_strata_[static_cast<size_t>(i)];
-          const bool prediction = predictions[static_cast<size_t>(item)] != 0;
-          samples_[k] += 1.0;
-          if (label && prediction) tp_sum_[k] += 1.0;
-          if (label) pos_sum_[k] += 1.0;
-        });
-  }
-
-  // RNG-consuming oracle: preserve the exact sequential interleaving.
-  for (int64_t i = 0; i < n; ++i) {
-    const size_t k = rng().NextDiscreteLinear(omega);
-    const int64_t item = strata_->SampleItem(k, rng());
-    OASIS_ASSIGN_OR_RETURN(const bool label, QueryLabel(item));
-    const bool prediction = predictions[static_cast<size_t>(item)] != 0;
-    samples_[k] += 1.0;
-    if (label && prediction) tp_sum_[k] += 1.0;
-    if (label) pos_sum_[k] += 1.0;
-  }
-  return Status::OK();
+  batch_strata_.resize(static_cast<size_t>(std::min(n, kQueryBatchChunk)));
+  return BatchedSteps(
+      n,
+      [&](int64_t i) {
+        const size_t k = rng().NextDiscreteLinear(omega);
+        batch_strata_[static_cast<size_t>(i)] = k;
+        return static_cast<int64_t>(strata_->SampleItem(k, rng()));
+      },
+      [&](int64_t i, int64_t item, bool label) {
+        const size_t k = batch_strata_[static_cast<size_t>(i)];
+        const bool prediction = predictions[static_cast<size_t>(item)] != 0;
+        samples_[k] += 1.0;
+        if (label && prediction) tp_sum_[k] += 1.0;
+        if (label) pos_sum_[k] += 1.0;
+      });
 }
 
 EstimateSnapshot StratifiedSampler::Estimate() const {

@@ -26,8 +26,6 @@ class StratifiedSampler : public Sampler {
       const ScoredPool* pool, LabelCache* labels,
       std::shared_ptr<const Strata> strata, double alpha, Rng rng);
 
-  Status Step() override;
-  Status StepBatch(int64_t n) override;
   EstimateSnapshot Estimate() const override;
   std::string name() const override { return "Stratified"; }
 
@@ -37,6 +35,8 @@ class StratifiedSampler : public Sampler {
   StratifiedSampler(const ScoredPool* pool, LabelCache* labels,
                     std::shared_ptr<const Strata> strata, double alpha, Rng rng);
 
+  Status DoStepBatch(int64_t n) override;
+
   std::shared_ptr<const Strata> strata_;
   // Per-stratum tallies over sampled draws.
   std::vector<double> samples_;   // n_k
@@ -44,8 +44,8 @@ class StratifiedSampler : public Sampler {
   std::vector<double> pos_sum_;   // sum of l
   // Known exactly from the pool: per-stratum mean prediction lambda_k.
   std::vector<double> lambda_;
-  // Scratch: stratum index per StepBatch draw position (the base class holds
-  // the item/label scratch), reused across batches; one chunk long.
+  // Scratch: stratum index per BatchedSteps draw position (the base class
+  // holds the item/label scratch), reused across batches; one chunk long.
   std::vector<size_t> batch_strata_;
 };
 
