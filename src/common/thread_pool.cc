@@ -24,6 +24,7 @@ int ThreadPool::DefaultThreadCount() {
 
 ThreadPool::ThreadPool(int num_threads) {
   if (num_threads <= 0) num_threads = DefaultThreadCount();
+  num_threads = std::min(num_threads, kMaxThreads);
   workers_.reserve(static_cast<size_t>(num_threads));
   for (int i = 0; i < num_threads; ++i) {
     workers_.push_back(std::make_unique<Worker>());

@@ -58,7 +58,13 @@ class CancellationToken {
 /// nested calls live), though deep nesting is discouraged.
 class ThreadPool {
  public:
-  /// Creates the pool. `num_threads <= 0` selects DefaultThreadCount().
+  /// Most workers one pool spawns. Inputs that size a pool (the `threads`
+  /// config key, --threads) are refused above it; a larger programmatic
+  /// request is clamped to it before any worker starts.
+  static constexpr int kMaxThreads = 1024;
+
+  /// Creates the pool. `num_threads <= 0` selects DefaultThreadCount();
+  /// either way at most kMaxThreads workers are spawned.
   explicit ThreadPool(int num_threads = 0);
 
   /// Joins all workers. Must not be called while a ParallelFor is in flight

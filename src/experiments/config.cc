@@ -1,9 +1,12 @@
 #include "experiments/config.h"
 
+#include "common/thread_pool.h"
+
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 namespace oasis {
@@ -107,6 +110,17 @@ Result<int64_t> ConfigMap::GetInt64Or(const std::string& key,
                                       int64_t fallback) const {
   if (!Has(key)) return fallback;
   return GetInt64(key);
+}
+
+Result<int> ConfigMap::GetIntOr(const std::string& key, int fallback) const {
+  OASIS_ASSIGN_OR_RETURN(const int64_t value, GetInt64Or(key, fallback));
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("ConfigMap: key '" + key + "' = " +
+                                   std::to_string(value) +
+                                   " does not fit in an int");
+  }
+  return static_cast<int>(value);
 }
 
 Result<double> ConfigMap::GetDouble(const std::string& key) const {
@@ -293,11 +307,12 @@ Result<CommonFlags> ParseCommonFlags(const CommandLine& args) {
   if (args.HasFlag("threads")) {
     OASIS_ASSIGN_OR_RETURN(const int64_t threads,
                            args.FlagInt64Or("threads", 0));
-    if (threads < 0) {
-      return Status::InvalidArgument("--threads must be >= 0 (0 = hardware "
-                                     "concurrency)");
+    if (threads < 0 || threads > ThreadPool::kMaxThreads) {
+      return Status::InvalidArgument(
+          "--threads must lie in [0, " + std::to_string(ThreadPool::kMaxThreads) +
+          "] (0 = hardware concurrency)");
     }
-    flags.threads = threads;
+    flags.threads = static_cast<int>(threads);
   }
   if (args.HasFlag("seed")) {
     OASIS_ASSIGN_OR_RETURN(const int64_t seed, args.FlagInt64Or("seed", 0));

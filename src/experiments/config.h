@@ -48,6 +48,10 @@ class ConfigMap {
   /// Integer value with a default for absent keys (parse errors still fail).
   Result<int64_t> GetInt64Or(const std::string& key, int64_t fallback) const;
 
+  /// GetInt64Or for an int-typed option: a value outside int's range is
+  /// refused, never narrowed (4294967297 must not read as 1).
+  Result<int> GetIntOr(const std::string& key, int fallback) const;
+
   /// The value parsed as double; fails on absence or non-numeric text.
   Result<double> GetDouble(const std::string& key) const;
 
@@ -151,14 +155,16 @@ struct CommonFlags {
   std::string metrics_out;        ///< Empty = no metrics snapshot file.
   std::string trace_out;          ///< Empty = no trace file.
   double heartbeat_seconds = 0;   ///< 0 = no heartbeat.
-  /// Set when --threads was given; apps fold it over their config value.
-  std::optional<int64_t> threads;
+  /// Set when --threads was given (in [0, ThreadPool::kMaxThreads]); apps
+  /// fold it over their config value.
+  std::optional<int> threads;
   /// Set when --seed was given; apps fold it over their config value.
   std::optional<uint64_t> seed;
 };
 
 /// Parses the common flags out of `args`, validating each (--heartbeat > 0,
-/// --threads >= 0, and --no-telemetry contradicting the output flags). Apps
+/// --threads in [0, ThreadPool::kMaxThreads], and --no-telemetry
+/// contradicting the output flags). Apps
 /// consume their own extra flags before or after, then run
 /// args.CheckAllFlagsUsed() so the typo guard covers both sets.
 Result<CommonFlags> ParseCommonFlags(const CommandLine& args);

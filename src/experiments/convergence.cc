@@ -1,8 +1,10 @@
 #include "experiments/convergence.h"
 
 #include <cmath>
+#include <string>
 
 #include "core/instrumental.h"
+#include "sampling/trajectory.h"
 #include "stats/kl_divergence.h"
 #include "stats/transforms.h"
 
@@ -13,11 +15,19 @@ Result<ConvergenceTrace> TraceOasisConvergence(OasisSampler& sampler,
                                                std::span<const uint8_t> truth,
                                                double true_f, int64_t budget,
                                                int64_t checkpoint_every) {
-  if (budget <= 0 || checkpoint_every <= 0) {
-    return Status::InvalidArgument("TraceOasisConvergence: bad budget/checkpoint");
-  }
+  OASIS_ASSIGN_OR_RETURN(const std::vector<int64_t> grid,
+                         CheckpointGrid(budget, checkpoint_every));
   if (static_cast<int64_t>(truth.size()) != sampler.pool().size()) {
     return Status::InvalidArgument("TraceOasisConvergence: truth size mismatch");
+  }
+  // A deterministic oracle charges each distinct item once, so a budget
+  // above the pool could never be spent (the run would step to the cap).
+  if (sampler.labels().oracle().deterministic() &&
+      budget > sampler.pool().size()) {
+    return Status::InvalidArgument(
+        "TraceOasisConvergence: with a deterministic oracle the budget must "
+        "not exceed the pool size (" +
+        std::to_string(sampler.pool().size()) + ")");
   }
 
   const Strata& strata = sampler.strata();
@@ -34,12 +44,12 @@ Result<ConvergenceTrace> TraceOasisConvergence(OasisSampler& sampler,
       EpsilonGreedyMix(strata.weights(), v_star_raw, sampler.options().epsilon));
 
   ConvergenceTrace trace;
-  int64_t next_checkpoint = checkpoint_every;
-  const int64_t max_iterations = 50 * budget + 100000;
+  size_t next = 0;
+  const int64_t max_iterations = DefaultMaxIterations(budget);
   while (sampler.labels_consumed() < budget &&
          sampler.iterations() < max_iterations) {
     OASIS_RETURN_NOT_OK(sampler.Step());
-    if (sampler.labels_consumed() < next_checkpoint) continue;
+    if (next == grid.size() || sampler.labels_consumed() < grid[next]) continue;
 
     const EstimateSnapshot snap = sampler.Estimate();
     const std::vector<double> pi_hat = sampler.PosteriorMeans();
@@ -52,7 +62,7 @@ Result<ConvergenceTrace> TraceOasisConvergence(OasisSampler& sampler,
     trace.pi_abs_error.push_back(MeanAbsoluteDifference(pi_hat, true_pi));
     trace.v_abs_error.push_back(MeanAbsoluteDifference(v_now, v_star));
     trace.kl_divergence.push_back(kl);
-    next_checkpoint += checkpoint_every;
+    ++next;
   }
   return trace;
 }

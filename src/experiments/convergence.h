@@ -29,7 +29,10 @@ struct ConvergenceTrace {
 /// every `checkpoint_every` labels. `truth` is the per-item ground truth
 /// (one 0/1 entry per pool item) from which the true per-stratum pi and the
 /// true optimal instrumental distribution v* are computed; `true_f` is the
-/// pool-level F-measure.
+/// pool-level F-measure. InvalidArgument, before any step, when CheckpointGrid
+/// refuses (budget, checkpoint_every), when `truth` does not match the pool,
+/// or when the oracle is deterministic and `budget` exceeds the pool size.
+/// The iteration cap is DefaultMaxIterations(budget), as for trajectories.
 Result<ConvergenceTrace> TraceOasisConvergence(OasisSampler& sampler,
                                                std::span<const uint8_t> truth,
                                                double true_f, int64_t budget,

@@ -176,22 +176,6 @@ StackSpec EffectiveStackSpec(const RunnerOptions& options) {
   return spec;
 }
 
-namespace {
-
-/// An int option; a value outside int's range is refused, not truncated.
-Result<int> IntFromConfig(const ConfigMap& config, const std::string& key,
-                          int fallback) {
-  OASIS_ASSIGN_OR_RETURN(const int64_t value, config.GetInt64Or(key, fallback));
-  if (value < std::numeric_limits<int>::min() ||
-      value > std::numeric_limits<int>::max()) {
-    return Status::InvalidArgument("StackSpecFromConfig: " + key +
-                                   " does not fit in an int");
-  }
-  return static_cast<int>(value);
-}
-
-}  // namespace
-
 Result<StackSpec> StackSpecFromConfig(const ConfigMap& config,
                                       const std::string& prefix) {
   StackSpec spec;
@@ -256,7 +240,7 @@ Result<StackSpec> StackSpecFromConfig(const ConfigMap& config,
     RetryPolicy rp;
     OASIS_ASSIGN_OR_RETURN(
         rp.max_attempts,
-        IntFromConfig(config, prefix + "retry_max_attempts", rp.max_attempts));
+        config.GetIntOr(prefix + "retry_max_attempts", rp.max_attempts));
     OASIS_ASSIGN_OR_RETURN(
         rp.initial_backoff_seconds,
         config.GetDoubleOr(prefix + "retry_initial_backoff_seconds",
@@ -288,8 +272,8 @@ Result<StackSpec> StackSpecFromConfig(const ConfigMap& config,
                            rp.overall_deadline_seconds));
     OASIS_ASSIGN_OR_RETURN(
         rp.breaker_failure_threshold,
-        IntFromConfig(config, prefix + "retry_breaker_threshold",
-                      rp.breaker_failure_threshold));
+        config.GetIntOr(prefix + "retry_breaker_threshold",
+                        rp.breaker_failure_threshold));
     OASIS_ASSIGN_OR_RETURN(
         rp.breaker_cooldown_calls,
         config.GetInt64Or(prefix + "retry_breaker_cooldown_calls",
@@ -376,12 +360,24 @@ void AppendStackSpecConfig(const StackSpec& spec, const std::string& prefix,
   }
 }
 
+Status CheckRunCells(const std::string& caller, int64_t repeats,
+                     int64_t num_checkpoints) {
+  if (repeats <= 0) {
+    return Status::InvalidArgument(caller + ": repeats must be positive");
+  }
+  // Divide rather than multiply so no input can overflow.
+  if (num_checkpoints > 0 && repeats > kMaxRunCells / num_checkpoints) {
+    return Status::InvalidArgument(
+        caller + ": repeats x checkpoints must not exceed " +
+        std::to_string(kMaxRunCells) + " (got " + std::to_string(repeats) +
+        " repeats x " + std::to_string(num_checkpoints) + " checkpoints)");
+  }
+  return Status::OK();
+}
+
 Result<ErrorCurve> RunErrorCurve(const MethodSpec& method, const ScoredPool& pool,
                                  const Oracle& oracle, double true_f,
                                  const RunnerOptions& options) {
-  if (options.repeats <= 0) {
-    return Status::InvalidArgument("RunErrorCurve: repeats must be positive");
-  }
   OASIS_RETURN_NOT_OK(pool.Validate());
   if (oracle.deterministic() && options.trajectory.budget > pool.size()) {
     return Status::InvalidArgument(
@@ -395,6 +391,8 @@ Result<ErrorCurve> RunErrorCurve(const MethodSpec& method, const ScoredPool& poo
                          CheckpointGrid(options.trajectory.budget,
                                         options.trajectory.checkpoint_every));
   const size_t num_checkpoints = budgets.size();
+  OASIS_RETURN_NOT_OK(CheckRunCells("RunErrorCurve", options.repeats,
+                                   static_cast<int64_t>(num_checkpoints)));
 
   // Observability (observe-only; see RunnerTelemetryOptions). The scoped
   // enable turns the process-wide switch on for this call and restores the

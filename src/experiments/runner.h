@@ -51,6 +51,20 @@ MethodSpec MakeImportanceSpec(const ImportanceOptions& options);
 MethodSpec MakeOasisSpec(const OasisOptions& options,
                          std::shared_ptr<const Strata> strata);
 
+/// Most repeat x checkpoint result cells one run may hold: RunErrorCurve
+/// keeps up to eight numbers per cell, and oasis_serve one checkpoint ack
+/// per session. 10^7 cells (about 0.6 GB at the worst) sits far above every
+/// in-tree config, bench and perfbench run, and below what a config file
+/// such as `repeats = 2000000000` would otherwise make the process allocate.
+inline constexpr int64_t kMaxRunCells = 10000000;
+
+/// InvalidArgument unless repeats >= 1 and repeats x num_checkpoints <=
+/// kMaxRunCells. RunErrorCurve and ScenarioRunOptions::Validate (hence the
+/// apps and oasis_serve) run it before allocating anything per repeat.
+/// `caller` prefixes the message.
+Status CheckRunCells(const std::string& caller, int64_t repeats,
+                     int64_t num_checkpoints);
+
 /// Aggregated error statistics of one method on one pool, indexed by label
 /// budget — the data behind each curve of the paper's Figure 2.
 struct ErrorCurve {

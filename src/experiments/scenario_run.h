@@ -40,7 +40,9 @@ struct ScenarioRunOptions {
   /// RunnerOptions::stack); empty = label straight against the base oracle.
   StackSpec stack;
 
-  /// Structural validation (positive budget/repeats, known method name, ...).
+  /// Structural validation (positive budget/repeats, known method name,
+  /// repeats x checkpoints within kMaxRunCells, threads within
+  /// ThreadPool::kMaxThreads, ...).
   Status Validate() const;
 
   /// Reads the run keys (method, budget, checkpoint_every, repeats,

@@ -34,6 +34,11 @@ Result<std::vector<int64_t>> CheckpointGrid(int64_t budget,
   return grid;
 }
 
+int64_t DefaultMaxIterations(int64_t budget) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  return budget <= (kMax - 100000) / 50 ? 50 * budget + 100000 : kMax;
+}
+
 Result<TrajectoryCursor> TrajectoryCursor::Create(
     Sampler& sampler, const TrajectoryOptions& options) {
   TrajectoryCursor cursor(&sampler);
@@ -41,14 +46,9 @@ Result<TrajectoryCursor> TrajectoryCursor::Create(
   OASIS_ASSIGN_OR_RETURN(
       out.budgets, CheckpointGrid(options.budget, options.checkpoint_every));
   cursor.budget_ = options.budget;
-  cursor.max_iterations_ = options.max_iterations;
-  if (cursor.max_iterations_ <= 0) {
-    // The derived default, saturated so that no budget can overflow it.
-    constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
-    cursor.max_iterations_ = options.budget <= (kMax - 100000) / 50
-                                 ? 50 * options.budget + 100000
-                                 : kMax;
-  }
+  cursor.max_iterations_ = options.max_iterations > 0
+                              ? options.max_iterations
+                              : DefaultMaxIterations(options.budget);
   cursor.start_labels_ = sampler.labels_consumed();
 
   // Cost-model capture: when the labels flow through a RemoteOracle —

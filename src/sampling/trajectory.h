@@ -17,9 +17,10 @@ struct TrajectoryOptions {
   int64_t budget = 1000;
   /// Record an estimate snapshot every this many labels.
   int64_t checkpoint_every = 10;
-  /// Iteration cap; 0 derives a generous default from the budget. Guards
-  /// against the (theoretically possible) case where resampling of cached
-  /// items keeps a run from ever consuming fresh budget.
+  /// Iteration cap; 0 derives a generous default from the budget
+  /// (DefaultMaxIterations). Guards against the (theoretically possible)
+  /// case where resampling of cached items keeps a run from ever consuming
+  /// fresh budget.
   int64_t max_iterations = 0;
 };
 
@@ -84,6 +85,11 @@ inline constexpr int64_t kMaxCheckpoints = 10000;
 /// allocating).
 Result<std::vector<int64_t>> CheckpointGrid(int64_t budget,
                                             int64_t checkpoint_every);
+
+/// The derived iteration cap of a run against `budget` labels:
+/// 50 * budget + 100000, saturated at INT64_MAX so no budget can overflow
+/// it. Shared by TrajectoryCursor and TraceOasisConvergence.
+int64_t DefaultMaxIterations(int64_t budget);
 
 /// One sampler run against a label budget, resumable between batches: the
 /// loop state lives here, not in locals. RunTrajectory runs a cursor to the

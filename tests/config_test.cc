@@ -1,5 +1,6 @@
 // The `key = value` config parser behind the apps/ CLI layer: parse shapes,
-// typed getters, the typo guard (CheckAllKeysUsed), and file round-trips.
+// typed getters, the typo guard (CheckAllKeysUsed), and file round-trips;
+// plus the bounds ParseCommonFlags puts on --threads.
 
 #include "experiments/config.h"
 
@@ -8,6 +9,8 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+
+#include "common/thread_pool.h"
 
 namespace oasis {
 namespace experiments {
@@ -71,6 +74,41 @@ TEST(ConfigMapTest, TypedGettersWithDefaults) {
   // A present key with a bad value still fails even through the Or variant.
   auto bad = ConfigMap::Parse("n = oops\n").ValueOrDie();
   EXPECT_FALSE(bad.GetInt64Or("n", 3).ok());
+}
+
+TEST(ConfigMapTest, IntGetterRefusesValuesOutsideIntInsteadOfNarrowing) {
+  auto config = ConfigMap::Parse(
+                    "wraps = 4294967297\n"
+                    "big = 2147483648\n"
+                    "small = -2147483649\n"
+                    "max = 2147483647\n")
+                    .ValueOrDie();
+  // 4294967297 narrowed through static_cast<int> would read as 1.
+  for (const char* key : {"wraps", "big", "small"}) {
+    const Result<int> value = config.GetIntOr(key, 0);
+    EXPECT_EQ(value.status().code(), StatusCode::kInvalidArgument) << key;
+  }
+  EXPECT_EQ(config.GetIntOr("max", 0).ValueOrDie(), 2147483647);
+  EXPECT_EQ(config.GetIntOr("absent", 5).ValueOrDie(), 5);
+}
+
+TEST(CommonFlagsTest, ThreadsFlagIsBoundedBeforeAnyPoolSpawns) {
+  for (const char* flag : {"--threads=100000", "--threads=4294967297",
+                           "--threads=-1"}) {
+    char arg0[] = "app";
+    std::string arg1 = flag;
+    char* argv[] = {arg0, arg1.data()};
+    const CommandLine args = CommandLine::Parse(2, argv).ValueOrDie();
+    EXPECT_EQ(ParseCommonFlags(args).status().code(),
+              StatusCode::kInvalidArgument)
+        << flag;
+  }
+  char arg0[] = "app";
+  char arg1[] = "--threads=1024";
+  char* argv[] = {arg0, arg1};
+  const CommonFlags flags =
+      ParseCommonFlags(CommandLine::Parse(2, argv).ValueOrDie()).ValueOrDie();
+  EXPECT_EQ(flags.threads, ThreadPool::kMaxThreads);
 }
 
 TEST(ConfigMapTest, BoolSpellings) {

@@ -29,6 +29,23 @@ TEST(ConvergenceTest, RejectsBadArguments) {
   EXPECT_FALSE(TraceOasisConvergence(*sampler, short_truth, 0.5, 100, 10).ok());
 }
 
+// A deterministic oracle charges each distinct item once, so a budget one
+// above the pool can never be spent; the trace used to step until its
+// iteration cap instead of refusing.
+TEST(ConvergenceTest, DeterministicBudgetAbovePoolIsRejectedWithoutStepping) {
+  SyntheticPool pool = MakeSyntheticPool({});
+  GroundTruthOracle oracle(pool.truth);
+  LabelCache labels(&oracle);
+  auto sampler = OasisSampler::CreateWithCsf(&pool.scored, &labels, 10,
+                                             OasisOptions{}, Rng(1))
+                     .ValueOrDie();
+  const int64_t budget = pool.scored.size() + 1;
+  const Result<ConvergenceTrace> trace = TraceOasisConvergence(
+      *sampler, pool.truth, 0.5, budget, budget / 10);
+  EXPECT_EQ(trace.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(sampler->iterations(), 0);
+}
+
 TEST(ConvergenceTest, TraceShapesAndMonotoneBudgets) {
   SyntheticPoolOptions options;
   options.size = 1500;

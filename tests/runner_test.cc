@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <limits>
+#include <string>
 
 #include "oracle/ground_truth_oracle.h"
 #include "oracle/noisy_oracle.h"
@@ -90,6 +93,55 @@ TEST(RunnerTest, DeterministicBudgetAbovePoolIsRejectedWithoutStepping) {
     EXPECT_EQ(curve.status().code(), StatusCode::kInvalidArgument);
   }
   EXPECT_EQ(samplers_built.load(), 0);
+}
+
+// `oasis_run` with repeats = 2000000000 and checkpoint_every = 1 aborted with
+// std::bad_alloc while sizing the per-repeat result slots; the cell cap
+// refuses it before any slot or sampler exists.
+TEST(RunnerTest, RepeatCheckpointCellsAboveTheCapAreRejectedWithoutStepping) {
+  SyntheticPool pool = MediumPool();
+  GroundTruthOracle oracle(pool.truth);
+  MethodSpec method = MakePassiveSpec(0.5);
+  std::atomic<int> samplers_built{0};
+  const SamplerFactory build = method.factory;
+  method.factory = [&](const ScoredPool* p, LabelCache* labels, Rng rng) {
+    ++samplers_built;
+    return build(p, labels, rng);
+  };
+  RunnerOptions options;
+  options.repeats = 2000000000;
+  options.trajectory.budget = 1000;
+  options.trajectory.checkpoint_every = 1;
+  const Result<ErrorCurve> curve = RunErrorCurve(
+      method, pool.scored, oracle, pool.true_measures.f_alpha, options);
+  ASSERT_FALSE(curve.ok());
+  EXPECT_EQ(curve.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(samplers_built.load(), 0);
+}
+
+TEST(RunnerTest, RunCellCapIsExactAndOverflowFree) {
+  EXPECT_TRUE(CheckRunCells("t", kMaxRunCells, 1).ok());
+  EXPECT_TRUE(CheckRunCells("t", 1, kMaxRunCells).ok());
+  EXPECT_TRUE(CheckRunCells("t", kMaxRunCells / 100, 100).ok());
+  EXPECT_FALSE(CheckRunCells("t", kMaxRunCells + 1, 1).ok());
+  EXPECT_FALSE(CheckRunCells("t", kMaxRunCells / 100 + 1, 100).ok());
+  EXPECT_FALSE(CheckRunCells("t", 0, 1).ok());
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  EXPECT_FALSE(CheckRunCells("t", max, max).ok());
+}
+
+// stack_retry_* ints are read through the same range-checked getter.
+TEST(RunnerTest, StackIntKeysOutsideIntAreRefused) {
+  for (const char* key :
+       {"stack_retry_max_attempts", "stack_retry_breaker_threshold"}) {
+    const ConfigMap config =
+        ConfigMap::Parse(std::string("stack_retry = true\n") + key +
+                         " = 4294967297\n")
+            .ValueOrDie();
+    EXPECT_EQ(StackSpecFromConfig(config).status().code(),
+              StatusCode::kInvalidArgument)
+        << key;
+  }
 }
 
 // A noisy oracle charges every query, repeats included, so its budget may

@@ -251,6 +251,31 @@ TEST(ScenarioVerifyTest, UnknownStepPathIsRejectedByValidation) {
   }
 }
 
+// Sizes read from a config are refused, not narrowed or allocated: on the
+// parent code `repeats = 4294967297` ran one repeat and exited 0, and
+// `repeats = 2000000000` with `checkpoint_every = 1` aborted in bad_alloc.
+TEST(ScenarioVerifyTest, HostileRunSizesAreRefusedFromConfig) {
+  for (const char* text : {
+           "repeats = 4294967297\n",
+           "repeats = 2000000000\ncheckpoint_every = 1\n",
+           "threads = 4294967297\n",
+           "threads = 100000\n",
+           "threads = -1\n",
+       }) {
+    const ConfigMap config = ConfigMap::Parse(text).ValueOrDie();
+    EXPECT_EQ(ScenarioRunOptions::FromConfig(config).status().code(),
+              StatusCode::kInvalidArgument)
+        << text;
+  }
+  const ConfigMap at_caps = ConfigMap::Parse(
+      "repeats = 10000\ncheckpoint_every = 2\nthreads = 1024\n").ValueOrDie();
+  const Result<ScenarioRunOptions> options =
+      ScenarioRunOptions::FromConfig(at_caps);
+  ASSERT_TRUE(options.ok()) << options.status().ToString();
+  EXPECT_EQ(options.ValueOrDie().repeats, 10000);
+  EXPECT_EQ(options.ValueOrDie().num_threads, ThreadPool::kMaxThreads);
+}
+
 TEST(ScenarioVerifyTest, StaticImportanceMustTripOnTheSisBreaker) {
   // The adversarial score-inversion pool exists to degenerate a static
   // score-driven proposal: the IS run's monitor must trip, and the

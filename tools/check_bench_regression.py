@@ -34,8 +34,11 @@ or metric is a hard failure (same reasoning as MISSING above).
 Both files' "machine" blocks (nproc, CPU model, compiler and version, build
 type; written by bench/bench_util.h) are printed first, so a reader sees
 whether the two runs came from the same machine. A baseline recorded before
-the block existed prints as "not recorded"; the block never changes a
-verdict.
+the block existed prints as "not recorded". The block changes one verdict:
+threaded rows (BM_RunnerParallel*) scale with the core count, so when any
+gated row is threaded and both blocks record an nproc that differs, the gate
+refuses to compare (exit 1) and asks for a baseline regenerated on matching
+hardware. Without an nproc on either side it compares as before.
 
 Usage:
   python3 tools/check_bench_regression.py BENCH_micro.json \
@@ -51,6 +54,10 @@ Self test (also run in CI):
 import argparse
 import json
 import sys
+
+# Rows whose throughput scales with the core count: comparable only between
+# runs on the same nproc.
+THREADED_PREFIXES = ("BM_RunnerParallel",)
 
 
 def load_results(path):
@@ -135,10 +142,10 @@ def run_gate(args, out=sys.stdout, err=sys.stderr):
     """The gate proper; returns the process exit code."""
     current = load_results(args.current)
     baseline = load_results(args.baseline)
-    print(f"machine current:  {format_machine(load_machine(args.current))}",
-          file=out)
-    print(f"machine baseline: {format_machine(load_machine(args.baseline))}",
-          file=out)
+    cur_machine = load_machine(args.current)
+    base_machine = load_machine(args.baseline)
+    print(f"machine current:  {format_machine(cur_machine)}", file=out)
+    print(f"machine baseline: {format_machine(base_machine)}", file=out)
 
     scale = 1.0
     if args.calibrate:
@@ -158,6 +165,18 @@ def run_gate(args, out=sys.stdout, err=sys.stderr):
                    if any(name.startswith(p) for p in prefixes))
     if not gated:
         print(f"error: no baseline entries match filter {args.filter!r}",
+              file=err)
+        return 1
+
+    threaded = [name for name in gated if name.startswith(THREADED_PREFIXES)]
+    cur_nproc = (cur_machine or {}).get("nproc")
+    base_nproc = (base_machine or {}).get("nproc")
+    if (threaded and cur_nproc is not None and base_nproc is not None
+            and cur_nproc != base_nproc):
+        print(f"error: threaded rows ({', '.join(threaded)}) cannot be "
+              f"compared across core counts: current nproc={cur_nproc}, "
+              f"baseline nproc={base_nproc}. Regenerate the baseline on "
+              "hardware with a matching core count (docs/BENCHMARKING.md).",
               file=err)
         return 1
 
@@ -308,6 +327,35 @@ def _self_test():
                 {"BM_OasisStep/10": 50.0}, {"BM_OasisStep/10": 100.0},
                 baseline_machine=None)
             self.assertEqual(code, 1)
+
+        def test_threaded_rows_compare_on_matching_nproc(self):
+            code, out, _ = self.run_gate_with(
+                {"BM_RunnerParallel/4": 100.0}, {"BM_RunnerParallel/4": 100.0},
+                filter="BM_RunnerParallel")
+            self.assertEqual(code, 0)
+            self.assertIn("ok", out)
+
+        def test_threaded_rows_refused_on_nproc_mismatch(self):
+            other = dict(machine, nproc=1)
+            code, _, err = self.run_gate_with(
+                {"BM_OasisStep/10": 100.0, "BM_RunnerParallel/4": 100.0},
+                {"BM_OasisStep/10": 100.0, "BM_RunnerParallel/4": 100.0},
+                baseline_machine=other, filter="BM_OasisStep,BM_RunnerParallel")
+            self.assertEqual(code, 1)
+            self.assertIn("nproc=4", err)
+            self.assertIn("nproc=1", err)
+            self.assertIn("Regenerate the baseline", err)
+
+        def test_threaded_rows_without_machine_block_compare_as_before(self):
+            code, _, _ = self.run_gate_with(
+                {"BM_RunnerParallel/4": 100.0}, {"BM_RunnerParallel/4": 100.0},
+                baseline_machine=None, filter="BM_RunnerParallel")
+            self.assertEqual(code, 0)
+            code, _, err = self.run_gate_with(
+                {"BM_RunnerParallel/4": 50.0}, {"BM_RunnerParallel/4": 100.0},
+                baseline_machine=None, filter="BM_RunnerParallel")
+            self.assertEqual(code, 1)
+            self.assertIn("REGRESSION", err)
 
         def test_fail_on_regression(self):
             code, _, err = self.run_gate_with(
