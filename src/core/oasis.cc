@@ -73,7 +73,8 @@ Result<std::unique_ptr<OasisSampler>> OasisSampler::Create(
   if (pool == nullptr || labels == nullptr || strata == nullptr) {
     return Status::InvalidArgument("OasisSampler: null pool/labels/strata");
   }
-  OASIS_RETURN_NOT_OK(pool->Validate());
+  // The pool itself is validated once, by InitializeFromScores below, before
+  // anything reads its scores or predictions.
   if (options.alpha < 0.0 || options.alpha > 1.0) {
     return Status::InvalidArgument("OasisSampler: alpha must be in [0, 1]");
   }

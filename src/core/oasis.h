@@ -17,9 +17,9 @@
 namespace oasis {
 
 /// How OasisSampler runs lines 3-5 of Algorithm 3: choose v(t) and draw a
-/// stratum k with its probability v_k. Lines 6-11 (item, weight
-/// omega_k / v_k, oracle query, posterior and AIS updates) are one shared
-/// tail whatever the path. kFused and
+/// stratum k with its probability v_k. The rest of the iteration (the item
+/// within the stratum, weight omega_k / v_k, oracle query, posterior and AIS
+/// updates) is one shared tail whatever the path. kFused and
 /// kAllocatingReference produce bit-identical sampling sequences from the
 /// same seed (the fused path is simply faster); kAlias samples from the same
 /// instrumental distribution up to a configurable staleness tolerance but
@@ -219,9 +219,10 @@ class OasisSampler : public Sampler {
   /// OasisStepPath::kAlias: rebuild the alias table if it drifted, then an
   /// O(1) two-component mixture draw.
   StratumDraw DrawAlias();
-  /// Lines 6-11, shared by every path: item uniform within the stratum,
-  /// w_t = omega_k / v_k, oracle query, posterior update, AIS sums,
-  /// observer, monitor, telemetry and MaybeDegrade.
+  /// The rest of the iteration, shared by every path: item uniform within
+  /// the stratum, then lines 6-11 — w_t = omega_k / v_k, oracle query,
+  /// posterior update, AIS sums — and the observer, monitor, telemetry and
+  /// MaybeDegrade.
   Status CompleteStep(StratumDraw draw);
   /// Line 3 of Algorithm 3 in two O(K) passes: writes the epsilon-greedy
   /// instrumental v(t) under F estimate `f` into `v` and its in-order running

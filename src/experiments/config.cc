@@ -1,13 +1,13 @@
 #include "experiments/config.h"
 
-#include "common/thread_pool.h"
-
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
+
+#include "common/thread_pool.h"
 
 namespace oasis {
 namespace experiments {

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <limits>
 #include <string>
 
 #include "common/format.h"

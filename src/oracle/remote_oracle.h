@@ -156,9 +156,8 @@ class RemoteOracle : public Oracle {
   /// charging policy is unchanged by wrapping.
   bool deterministic() const override;
 
-  /// Forwards the wrapped oracle's RNG discipline, so the samplers' batched
-  /// fast paths (and the async pipeline's soundness gate) are unchanged by
-  /// wrapping.
+  /// Forwards the wrapped oracle's RNG discipline, so the samplers' chunk
+  /// sizes (Sampler::BatchedSteps) are unchanged by wrapping.
   bool labelling_consumes_rng() const override;
 
   /// The wrapped oracle's item count.
