@@ -251,9 +251,10 @@ TEST(ScenarioVerifyTest, UnknownStepPathIsRejectedByValidation) {
   }
 }
 
-// Sizes read from a config are refused, not narrowed or allocated: on the
-// parent code `repeats = 4294967297` ran one repeat and exited 0, and
-// `repeats = 2000000000` with `checkpoint_every = 1` aborted in bad_alloc.
+// Sizes read from a config are refused, not narrowed or allocated:
+// `repeats = 4294967297` used to run one repeat and exit 0, and
+// `repeats = 2000000000` with `checkpoint_every = 1` used to abort in
+// bad_alloc.
 TEST(ScenarioVerifyTest, HostileRunSizesAreRefusedFromConfig) {
   for (const char* text : {
            "repeats = 4294967297\n",
