@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "datagen/scenario.h"
 
 namespace oasis {
 namespace {
@@ -158,6 +159,67 @@ TEST(CsfTest, ProbabilityOverloadSelectsTransform) {
   for (int64_t i = 0; i < static_cast<int64_t>(scores.size()); ++i) {
     EXPECT_EQ(via_flag.stratum_of(i), via_options.stratum_of(i));
   }
+}
+
+/// FNV-1a over 32-bit values, folded in the order given.
+uint64_t Fnv1a(uint64_t hash, int32_t value) {
+  const uint32_t bits = static_cast<uint32_t>(value);
+  for (int byte = 0; byte < 4; ++byte) {
+    hash ^= (bits >> (8 * byte)) & 0xffu;
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+struct StrataPin {
+  size_t num_strata = 0;
+  uint64_t stratum_of_hash = 0;
+  uint64_t item_order_hash = 0;
+};
+
+/// CSF strata of a catalogue pool, stratified exactly as MakeMethodByName
+/// does, reduced to two hashes: item -> stratum, and every stratum's items in
+/// stored order (the order SampleItem indexes, so seeded draws depend on it).
+StrataPin PinStrata(const datagen::ScenarioSpec& spec, size_t k) {
+  const datagen::ScenarioPool pool = datagen::GenerateScenario(spec).ValueOrDie();
+  const Strata strata = StratifyCsf(pool.scored.scores, k,
+                                    pool.scored.scores_are_probabilities)
+                            .ValueOrDie();
+  StrataPin pin;
+  pin.num_strata = strata.num_strata();
+  pin.stratum_of_hash = 14695981039346656037ull;
+  for (size_t i = 0; i < strata.num_items(); ++i) {
+    pin.stratum_of_hash =
+        Fnv1a(pin.stratum_of_hash, strata.stratum_of(static_cast<int64_t>(i)));
+  }
+  pin.item_order_hash = 14695981039346656037ull;
+  for (size_t s = 0; s < strata.num_strata(); ++s) {
+    for (int32_t item : strata.items(s)) {
+      pin.item_order_hash = Fnv1a(pin.item_order_hash, item);
+    }
+  }
+  return pin;
+}
+
+// Pinned strata of the two perfbench pools the sampler draws from. A change
+// to binning or to the stored item order moves every seeded curve, so these
+// must never move.
+TEST(CsfTest, StripeF90K1000StrataArePinned) {
+  datagen::ScenarioSpec spec =
+      datagen::ScenarioByName("stripe-f90").ValueOrDie();
+  spec.seed = 1;
+  const StrataPin pin = PinStrata(spec, 1000);
+  EXPECT_EQ(pin.num_strata, 1000u);
+  EXPECT_EQ(pin.stratum_of_hash, 4184342641384269193ull);
+  EXPECT_EQ(pin.item_order_hash, 7593267519287661873ull);
+}
+
+TEST(CsfTest, Imbalance1e3K30StrataArePinned) {
+  const StrataPin pin =
+      PinStrata(datagen::ScenarioByName("imbalance-1e3").ValueOrDie(), 30);
+  EXPECT_EQ(pin.num_strata, 30u);
+  EXPECT_EQ(pin.stratum_of_hash, 2743052671708432056ull);
+  EXPECT_EQ(pin.item_order_hash, 13798640104045322129ull);
 }
 
 class CsfSweepTest : public ::testing::TestWithParam<size_t> {};

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <limits>
+#include <utility>
 #include <vector>
+
+#include "common/random.h"
 
 namespace oasis {
 namespace {
@@ -75,6 +82,91 @@ TEST(StrataTest, FromScoreEdgesRejectsBadInput) {
   EXPECT_FALSE(
       Strata::FromScoreEdges(scores, std::vector<double>{1.0, 0.0}).ok());
   EXPECT_FALSE(Strata::FromScoreEdges({}, std::vector<double>{0.0, 1.0}).ok());
+}
+
+/// The binning rule FromScoreEdges documents, by binary search: bin j covers
+/// [edges[j], edges[j + 1}), the last bin is closed above, and values outside
+/// the range clamp into the first or last bin.
+int32_t UpperBoundBin(double s, const std::vector<double>& edges) {
+  const auto it = std::upper_bound(edges.begin(), edges.end(), s);
+  const int64_t bin = static_cast<int64_t>(it - edges.begin()) - 1;
+  return static_cast<int32_t>(
+      std::clamp<int64_t>(bin, 0, static_cast<int64_t>(edges.size()) - 2));
+}
+
+/// Random scores plus every edge, its +-1-ulp neighbours, +-inf and values
+/// far outside the range; all bins filled so no compaction renumbers them.
+std::vector<double> EdgeProbeScores(const std::vector<double>& edges, Rng& rng) {
+  const double lo = edges.front();
+  const double hi = edges.back();
+  std::vector<double> scores;
+  for (int i = 0; i < 20000; ++i) {
+    scores.push_back(lo + (hi - lo) * rng.NextDouble());
+  }
+  for (double e : edges) {
+    scores.push_back(e);
+    scores.push_back(std::nextafter(e, -std::numeric_limits<double>::infinity()));
+    scores.push_back(std::nextafter(e, std::numeric_limits<double>::infinity()));
+  }
+  for (size_t j = 0; j + 1 < edges.size(); ++j) {
+    scores.push_back(0.5 * (edges[j] + edges[j + 1]));
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double s : {inf, -inf, lo - 1.0, hi + 1.0, lo - 1e300, hi + 1e300,
+                   std::numeric_limits<double>::max(),
+                   std::numeric_limits<double>::lowest()}) {
+    scores.push_back(s);
+  }
+  return scores;
+}
+
+/// Edges over [lo, hi]: equal-width when `uneven` is false, otherwise
+/// clustered towards lo the way CSF cuts a skewed score distribution.
+std::vector<double> ProbeEdges(size_t k, double lo, double hi, bool uneven) {
+  std::vector<double> edges(k + 1);
+  for (size_t j = 0; j <= k; ++j) {
+    const double u = static_cast<double>(j) / static_cast<double>(k);
+    edges[j] = lo + (hi - lo) * (uneven ? u * u * u : u);
+  }
+  edges.back() = hi;
+  return edges;
+}
+
+TEST(StrataTest, FromScoreEdgesMatchesUpperBoundRule) {
+  Rng rng(41);
+  for (size_t k : {1u, 30u, 1000u}) {
+    for (bool uneven : {false, true}) {
+      for (const auto& [lo, hi] : std::vector<std::pair<double, double>>{
+               {0.0, 1.0}, {-13.7, 4.2}, {0.1, 0.1 + 1e-9}}) {
+        const std::vector<double> edges = ProbeEdges(k, lo, hi, uneven);
+        if (std::adjacent_find(edges.begin(), edges.end(),
+                               std::greater_equal<double>()) != edges.end()) {
+          continue;  // Too narrow a range for k strictly increasing edges.
+        }
+        const std::vector<double> scores = EdgeProbeScores(edges, rng);
+        const Strata strata = Strata::FromScoreEdges(scores, edges).ValueOrDie();
+        ASSERT_EQ(strata.num_strata(), k) << "k=" << k << " lo=" << lo;
+        for (size_t i = 0; i < scores.size(); ++i) {
+          ASSERT_EQ(strata.stratum_of(static_cast<int64_t>(i)),
+                    UpperBoundBin(scores[i], edges))
+              << "k=" << k << " uneven=" << uneven << " lo=" << lo
+              << " score=" << scores[i];
+        }
+        EXPECT_TRUE(strata.Validate().ok());
+      }
+    }
+  }
+}
+
+TEST(StrataTest, FromScoreEdgesRefusesNaNScores) {
+  const std::vector<double> edges = ProbeEdges(30, 0.0, 1.0, false);
+  for (size_t at : {0u, 7u, 99u}) {
+    std::vector<double> scores(100, 0.5);
+    scores[at] = std::numeric_limits<double>::quiet_NaN();
+    const Result<Strata> strata = Strata::FromScoreEdges(scores, edges);
+    ASSERT_FALSE(strata.ok());
+    EXPECT_EQ(strata.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(StrataTest, SampleItemStaysInStratum) {
