@@ -45,8 +45,9 @@ int main() {
     OasisOptions oasis_options;
     oasis_options.epsilon = epsilon;
     auto curve = experiments::RunErrorCurve(
-        experiments::MakeOasisSpec(oasis_options, strata), pool.scored, oracle,
-        pool.true_measures.f_alpha, options);
+        experiments::MakeOasisSpec(oasis_options, pool.scored, strata)
+            .ValueOrDie(),
+        pool.scored, oracle, pool.true_measures.f_alpha, options);
     OASIS_CHECK_OK(curve.status());
     const experiments::ErrorCurve& c = curve.ValueOrDie();
     table.AddRow({experiments::FormatScientific(epsilon, 0),

@@ -59,7 +59,9 @@ int main() {
   std::vector<experiments::ErrorCurve> curves;
   for (const experiments::MethodSpec& spec :
        {experiments::MakePassiveSpec(0.5),
-        experiments::MakeOasisSpec(OasisOptions{}, strata), oracle_spec}) {
+        experiments::MakeOasisSpec(OasisOptions{}, pool.scored, strata)
+            .ValueOrDie(),
+        oracle_spec}) {
     auto curve = experiments::RunErrorCurve(spec, pool.scored, oracle,
                                             pool.true_measures.f_alpha, options);
     OASIS_CHECK_OK(curve.status());

@@ -49,8 +49,9 @@ int main() {
       oasis_options.prior_strength = eta;
       oasis_options.decay_prior = decay;
       auto curve = experiments::RunErrorCurve(
-          experiments::MakeOasisSpec(oasis_options, strata), pool.scored, oracle,
-          pool.true_measures.f_alpha, options);
+          experiments::MakeOasisSpec(oasis_options, pool.scored, strata)
+              .ValueOrDie(),
+          pool.scored, oracle, pool.true_measures.f_alpha, options);
       OASIS_CHECK_OK(curve.status());
       const experiments::ErrorCurve& c = curve.ValueOrDie();
       row.push_back(experiments::FormatDouble(c.mean_abs_error.back(), 5));

@@ -50,8 +50,9 @@ int main() {
       auto strata = std::make_shared<const Strata>(
           std::move(strata_result).ValueOrDie());
       auto curve = experiments::RunErrorCurve(
-          experiments::MakeOasisSpec(OasisOptions{}, strata), pool.scored,
-          oracle, pool.true_measures.f_alpha, options);
+          experiments::MakeOasisSpec(OasisOptions{}, pool.scored, strata)
+              .ValueOrDie(),
+          pool.scored, oracle, pool.true_measures.f_alpha, options);
       OASIS_CHECK_OK(curve.status());
       const experiments::ErrorCurve& c = curve.ValueOrDie();
       row.push_back(experiments::FormatDouble(c.mean_abs_error.back(), 5));

@@ -93,7 +93,9 @@ int main() {
     for (size_t k : OasisKsFor(profile.name)) {
       auto strata = std::make_shared<const Strata>(
           StratifyCsf(pool.scored.scores, k, pool.scored.scores_are_probabilities).ValueOrDie());
-      methods.push_back(experiments::MakeOasisSpec(OasisOptions{}, strata));
+      methods.push_back(
+          experiments::MakeOasisSpec(OasisOptions{}, pool.scored, strata)
+              .ValueOrDie());
     }
 
     std::vector<experiments::ErrorCurve> curves;

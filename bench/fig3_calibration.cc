@@ -61,8 +61,9 @@ int main() {
       }
       {
         auto curve = experiments::RunErrorCurve(
-            experiments::MakeOasisSpec(OasisOptions{}, strata), pool.scored,
-            oracle, pool.true_measures.f_alpha, options);
+            experiments::MakeOasisSpec(OasisOptions{}, pool.scored, strata)
+                .ValueOrDie(),
+            pool.scored, oracle, pool.true_measures.f_alpha, options);
         OASIS_CHECK_OK(curve.status());
         curves.push_back(std::move(curve).ValueOrDie());
         curves.back().method = std::string("OASIS ") + tag;

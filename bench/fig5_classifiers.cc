@@ -61,7 +61,8 @@ int main() {
          {experiments::MakePassiveSpec(0.5),
           experiments::MakeStratifiedSpec(0.5, strata),
           experiments::MakeImportanceSpec(ImportanceOptions{}),
-          experiments::MakeOasisSpec(OasisOptions{}, strata)}) {
+          experiments::MakeOasisSpec(OasisOptions{}, pool.scored, strata)
+              .ValueOrDie()}) {
       auto summary = experiments::RunFinalError(
           spec, pool.scored, oracle, pool.true_measures.f_alpha, options);
       OASIS_CHECK_OK(summary.status());

@@ -1,8 +1,9 @@
 // google-benchmark micro-benches for the sampling hot paths: alias-table vs
 // linear-scan discrete draws (the Table 3 cost asymmetry at its core), the
 // per-iteration cost of each sampler as a function of K and N, the fused
-// zero-allocation OASIS step against the allocating reference path, and CSF
-// stratification construction cost.
+// zero-allocation OASIS step against the allocating reference path, CSF
+// stratification construction cost, and per-repeat OASIS creation from a
+// shared set-up.
 //
 // Besides the console output, every run writes a machine-readable
 // BENCH_micro.json (path override: OASIS_BENCH_JSON) with steps/sec per
@@ -353,7 +354,8 @@ void BM_RunnerParallel(benchmark::State& state) {
   options.trajectory.budget = 2000;
   options.trajectory.checkpoint_every = 500;
   const experiments::MethodSpec spec =
-      experiments::MakeOasisSpec(OasisOptions{}, *strata);
+      experiments::MakeOasisSpec(OasisOptions{}, pool->scored, *strata)
+          .ValueOrDie();
   for (auto _ : state) {
     auto curve = experiments::RunErrorCurve(spec, pool->scored, *oracle,
                                             /*true_f=*/0.5, options);
@@ -526,16 +528,51 @@ void BM_ScenarioGen(benchmark::State& state) {
 }
 BENCHMARK(BM_ScenarioGen)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
+/// CSF stratification of an N-item pool at target K (range(1)): histogram,
+/// cuts, binning and the counting sort into the flat Strata layout.
 void BM_CsfStratify(benchmark::State& state) {
   const int64_t n = state.range(0);
+  const size_t k = static_cast<size_t>(state.range(1));
   BenchPool pool = MakePool(n);
   for (auto _ : state) {
-    auto strata = StratifyCsf(pool.scored.scores, 30, pool.scored.scores_are_probabilities);
+    auto strata =
+        StratifyCsf(pool.scored.scores, k, pool.scored.scores_are_probabilities);
     benchmark::DoNotOptimize(strata);
   }
   state.counters["N"] = static_cast<double>(n);
+  state.counters["K"] = static_cast<double>(k);
 }
-BENCHMARK(BM_CsfStratify)->Arg(10000)->Arg(100000)->Arg(1000000);
+BENCHMARK(BM_CsfStratify)
+    ->Args({10000, 30})
+    ->Args({100000, 30})
+    ->Args({1000000, 30})
+    ->Args({20000, 1000});
+
+/// What each repeat of a run pays to start OASIS once the run's OasisSetup
+/// exists: OasisSampler::Create (and the sampler's destruction) at K = 30
+/// over an N-item pool, so the row must be flat in N. The repeat's
+/// LabelCache is built once outside the loop: its per-item byte map is the
+/// one O(N) per-repeat cost left, and would hide Create at large N.
+void BM_OasisCreate(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  const BenchPool pool = MakePool(n);
+  const GroundTruthOracle oracle(pool.truth);
+  const std::shared_ptr<const OasisSetup> setup =
+      OasisSetup::Create(&pool.scored,
+                         std::make_shared<const Strata>(
+                             StratifyCsf(pool.scored.scores, 30).ValueOrDie()),
+                         0.5)
+          .ValueOrDie();
+  LabelCache labels(&oracle);
+  uint64_t seed = 0;
+  for (auto _ : state) {
+    auto sampler = OasisSampler::Create(setup, &pool.scored, &labels,
+                                        OasisOptions{}, Rng(++seed));
+    benchmark::DoNotOptimize(sampler);
+  }
+  state.counters["N"] = static_cast<double>(n);
+}
+BENCHMARK(BM_OasisCreate)->Arg(10000)->Arg(100000)->Arg(1000000);
 
 /// End-to-end session-server throughput: range(0) concurrent passive
 /// sessions (stream s = Rng::Fork stream s) served to completion through the

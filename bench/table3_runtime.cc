@@ -63,7 +63,9 @@ int main() {
   for (size_t k : {30u, 60u, 120u}) {
     auto strata = std::make_shared<const Strata>(
         StratifyCsf(pool.scored.scores, k, pool.scored.scores_are_probabilities).ValueOrDie());
-    methods.push_back(experiments::MakeOasisSpec(OasisOptions{}, strata));
+    methods.push_back(
+        experiments::MakeOasisSpec(OasisOptions{}, pool.scored, strata)
+            .ValueOrDie());
   }
   {
     auto strata = std::make_shared<const Strata>(

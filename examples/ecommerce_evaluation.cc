@@ -81,7 +81,8 @@ int main() {
        {experiments::MakePassiveSpec(0.5),
         experiments::MakeStratifiedSpec(0.5, strata),
         experiments::MakeImportanceSpec(ImportanceOptions{}),
-        experiments::MakeOasisSpec(OasisOptions{}, strata)}) {
+        experiments::MakeOasisSpec(OasisOptions{}, pool.scored, strata)
+            .ValueOrDie()}) {
     auto curve = experiments::RunErrorCurve(spec, pool.scored, oracle,
                                             pool.true_measures.f_alpha, options);
     if (!curve.ok()) {

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "core/initialization.h"
 #include "core/instrumental.h"
 #include "core/mass_kernel.h"
 #include "stats/transforms.h"
@@ -36,48 +35,34 @@ inline void RecordOasisStepTelemetry(double weight) {
 
 }  // namespace
 
-OasisSampler::OasisSampler(const ScoredPool* pool, LabelCache* labels,
-                           std::shared_ptr<const Strata> strata,
+OasisSampler::OasisSampler(std::shared_ptr<const OasisSetup> setup,
+                           const ScoredPool* pool, LabelCache* labels,
                            const OasisOptions& options, Rng rng,
-                           StratifiedBetaModel model, std::vector<double> lambda,
-                           double initial_f)
+                           StratifiedBetaModel model)
     : Sampler(pool, labels, options.alpha, rng),
-      strata_(std::move(strata)),
+      setup_(std::move(setup)),
+      strata_(&setup_->strata()),
       options_(options),
       model_(std::move(model)),
-      lambda_(std::move(lambda)),
-      initial_f_(initial_f),
       estimator_(options.alpha),
       monitor_(options.degeneracy),
       active_epsilon_(options.epsilon) {
   const size_t num_strata = strata_->num_strata();
   v_scratch_.resize(num_strata);
   running_scratch_.resize(num_strata);
-  // Seed the incremental posterior caches and the per-stratum constants of
-  // the v* formula. (1 - alpha) * (1 - lambda_k) uses the same factor
-  // grouping as OptimalStratifiedInstrumentalInto so the fused scan is
-  // bit-identical to the reference path.
+  // Seed the incremental posterior caches; the per-stratum constants of the
+  // v* formula come precomputed from the set-up.
   pi_cache_ = model_.PosteriorMeans();
   sqrt_pi_cache_.resize(num_strata);
-  c_not_pred_.resize(num_strata);
   for (size_t k = 0; k < num_strata; ++k) {
     sqrt_pi_cache_[k] = std::sqrt(pi_cache_[k]);
-    c_not_pred_[k] = (1.0 - options_.alpha) * (1.0 - lambda_[k]);
   }
-  alpha_sq_ = options_.alpha * options_.alpha;
 }
 
-Result<std::unique_ptr<OasisSampler>> OasisSampler::Create(
-    const ScoredPool* pool, LabelCache* labels,
-    std::shared_ptr<const Strata> strata, const OasisOptions& options, Rng rng) {
-  if (pool == nullptr || labels == nullptr || strata == nullptr) {
-    return Status::InvalidArgument("OasisSampler: null pool/labels/strata");
-  }
-  // The pool itself is validated once, by InitializeFromScores below, before
-  // anything reads its scores or predictions.
-  if (options.alpha < 0.0 || options.alpha > 1.0) {
-    return Status::InvalidArgument("OasisSampler: alpha must be in [0, 1]");
-  }
+namespace {
+
+/// The option ranges Algorithm 3 needs; O(1).
+Status CheckOasisOptions(const OasisOptions& options) {
   if (std::isnan(options.epsilon) || options.epsilon <= 0.0 ||
       options.epsilon > 1.0) {
     return Status::InvalidArgument(
@@ -95,32 +80,51 @@ Result<std::unique_ptr<OasisSampler>> OasisSampler::Create(
     return Status::InvalidArgument(
         "OasisSampler: degraded_epsilon must lie in (0, 1]");
   }
-  if (static_cast<int64_t>(strata->num_items()) != pool->size()) {
-    return Status::InvalidArgument("OasisSampler: strata/pool size mismatch");
-  }
-  OASIS_RETURN_NOT_OK(strata->Validate());
+  return Status::OK();
+}
 
-  // Algorithm 2: score-derived initial estimates.
-  OASIS_ASSIGN_OR_RETURN(InitialEstimates init,
-                         InitializeFromScores(*strata, *pool, options.alpha));
+}  // namespace
+
+Result<std::unique_ptr<OasisSampler>> OasisSampler::Create(
+    std::shared_ptr<const OasisSetup> setup, const ScoredPool* pool,
+    LabelCache* labels, const OasisOptions& options, Rng rng) {
+  if (setup == nullptr || pool == nullptr || labels == nullptr) {
+    return Status::InvalidArgument("OasisSampler: null setup/pool/labels");
+  }
+  // O(1): the pool, strata and Algorithm-2 guesses were validated and
+  // computed once, when the set-up was built.
+  OASIS_RETURN_NOT_OK(setup->CheckMatches(pool, options.alpha));
+  OASIS_RETURN_NOT_OK(CheckOasisOptions(options));
 
   // Sec. 6.3 default: eta = 2K unless the caller fixed a strength.
   OasisOptions resolved = options;
   if (resolved.prior_strength <= 0.0) {
-    resolved.prior_strength = 2.0 * static_cast<double>(strata->num_strata());
+    resolved.prior_strength =
+        2.0 * static_cast<double>(setup->strata().num_strata());
   }
   OASIS_ASSIGN_OR_RETURN(
       StratifiedBetaModel model,
-      StratifiedBetaModel::Create(init.pi, resolved.prior_strength,
+      StratifiedBetaModel::Create(setup->initial_pi(), resolved.prior_strength,
                                   resolved.decay_prior));
 
-  std::unique_ptr<OasisSampler> sampler(
-      new OasisSampler(pool, labels, std::move(strata), resolved, rng,
-                       std::move(model), std::move(init.lambda), init.f_alpha));
+  std::unique_ptr<OasisSampler> sampler(new OasisSampler(
+      std::move(setup), pool, labels, resolved, rng, std::move(model)));
   if (resolved.step_path == OasisStepPath::kAlias) {
     OASIS_RETURN_NOT_OK(sampler->InitAlias());
   }
   return sampler;
+}
+
+Result<std::unique_ptr<OasisSampler>> OasisSampler::Create(
+    const ScoredPool* pool, LabelCache* labels,
+    std::shared_ptr<const Strata> strata, const OasisOptions& options, Rng rng) {
+  if (pool == nullptr || labels == nullptr || strata == nullptr) {
+    return Status::InvalidArgument("OasisSampler: null pool/labels/strata");
+  }
+  OASIS_ASSIGN_OR_RETURN(
+      std::shared_ptr<const OasisSetup> setup,
+      OasisSetup::Create(pool, std::move(strata), options.alpha));
+  return Create(std::move(setup), pool, labels, options, rng);
 }
 
 Result<std::unique_ptr<OasisSampler>> OasisSampler::CreateWithCsf(
@@ -138,10 +142,11 @@ Result<std::unique_ptr<OasisSampler>> OasisSampler::CreateWithCsf(
 
 double OasisSampler::StratumMass(size_t k, double f) const {
   const double pi = pi_cache_[k];
-  const double not_pred = c_not_pred_[k] * f * sqrt_pi_cache_[k];
+  const double not_pred = setup_->c_not_pred()[k] * f * sqrt_pi_cache_[k];
   const double pred =
-      lambda_[k] * std::sqrt(alpha_sq_ * f * f * (1.0 - pi) +
-                             (1.0 - f) * (1.0 - f) * pi);
+      setup_->lambda()[k] *
+      std::sqrt(setup_->alpha_sq() * f * f * (1.0 - pi) +
+                (1.0 - f) * (1.0 - f) * pi);
   return strata_->weight(k) * (not_pred + pred);
 }
 
@@ -155,11 +160,11 @@ double OasisSampler::AliasMixtureProbability(size_t k) const {
 
 void OasisSampler::RebuildAliasMasses(double f) {
   const size_t num_strata = strata_->num_strata();
-  const double a2f2 = alpha_sq_ * f * f;
+  const double a2f2 = setup_->alpha_sq() * f * f;
   const double omf2 = (1.0 - f) * (1.0 - f);
   alias_total_ = StratumMassKernel(
-      strata_->weights().data(), lambda_.data(), pi_cache_.data(),
-      sqrt_pi_cache_.data(), c_not_pred_.data(), f, a2f2, omf2,
+      strata_->weights().data(), setup_->lambda().data(), pi_cache_.data(),
+      sqrt_pi_cache_.data(), setup_->c_not_pred().data(), f, a2f2, omf2,
       alias_snapshot_mass_.data(), num_strata);
   alias_degenerate_ = !(alias_total_ > 0.0);
   if (!alias_degenerate_) {
@@ -181,7 +186,8 @@ Status OasisSampler::InitAlias() {
   const size_t num_strata = strata_->num_strata();
   alias_snapshot_mass_.resize(num_strata);
   alias_live_mass_.resize(num_strata);
-  RebuildAliasMasses(Clamp(estimator_.FAlphaOr(initial_f_), 0.0, 1.0));
+  RebuildAliasMasses(
+      Clamp(estimator_.FAlphaOr(setup_->initial_f()), 0.0, 1.0));
   return Status::OK();
 }
 
@@ -219,7 +225,7 @@ Result<OasisSampler::StratumDraw> OasisSampler::Draw() {
 OasisSampler::StratumDraw OasisSampler::DrawFused() {
   // Line 3: v(t) from the current posterior means and F estimate, in two
   // O(K) passes with no allocation.
-  BuildInstrumental(Clamp(estimator_.FAlphaOr(initial_f_), 0.0, 1.0),
+  BuildInstrumental(Clamp(estimator_.FAlphaOr(setup_->initial_f()), 0.0, 1.0),
                     v_scratch_.data(), running_scratch_.data());
   return DrawFromScratch();
 }
@@ -234,13 +240,13 @@ OasisSampler::StratumDraw OasisSampler::DrawFromScratch() {
 Result<OasisSampler::StratumDraw> OasisSampler::DrawAllocatingReference() {
   // Line 3: v(t) from the current posterior means and F estimate, with the
   // initial Algorithm-2 guess standing in until Eqn. (3) is defined.
-  const double f_current = estimator_.FAlphaOr(initial_f_);
+  const double f_current = estimator_.FAlphaOr(setup_->initial_f());
   {
     std::vector<double> pi = model_.PosteriorMeans();
     OASIS_ASSIGN_OR_RETURN(
         std::vector<double> v_star,
-        OptimalStratifiedInstrumental(strata_->weights(), lambda_, pi, f_current,
-                                      options_.alpha));
+        OptimalStratifiedInstrumental(strata_->weights(), setup_->lambda(), pi,
+                                      f_current, options_.alpha));
     OASIS_ASSIGN_OR_RETURN(
         v_scratch_, EpsilonGreedyMix(strata_->weights(), v_star, active_epsilon_));
   }
@@ -256,7 +262,7 @@ OasisSampler::StratumDraw OasisSampler::DrawAlias() {
   // updates). Rebuild in place (O(K), no allocation) when EITHER drift
   // crosses alias_drift_tol; in the degenerate all-zero state, rebuild as
   // soon as any mass becomes positive.
-  const double f = Clamp(estimator_.FAlphaOr(initial_f_), 0.0, 1.0);
+  const double f = Clamp(estimator_.FAlphaOr(setup_->initial_f()), 0.0, 1.0);
   const double f_drift = std::fabs(f - alias_f_);
   const bool mass_drifted =
       alias_degenerate_
@@ -343,9 +349,9 @@ void OasisSampler::BuildInstrumental(double f, double* OASIS_RESTRICT v,
   // expression keeps the reference path's factor grouping, so a seeded run is
   // bit-identical to OasisStepPath::kAllocatingReference.
   double total = StratumMassKernel(
-      weights, lambda_.data(), pi_cache_.data(), sqrt_pi_cache_.data(),
-      c_not_pred_.data(), f, alpha_sq_ * f * f, (1.0 - f) * (1.0 - f), v,
-      num_strata);
+      weights, setup_->lambda().data(), pi_cache_.data(), sqrt_pi_cache_.data(),
+      setup_->c_not_pred().data(), f, setup_->alpha_sq() * f * f,
+      (1.0 - f) * (1.0 - f), v, num_strata);
   if (total <= 0.0) {
     // Degenerate estimates: fall back to the (already normalised by
     // invariant, renormalised here for exact reference parity) stratum
@@ -389,7 +395,7 @@ void OasisSampler::MaybeDegrade() {
   if (options_.freeze_instrumental_on_degrade) {
     // Freeze: build v(t) one last time, under the boosted floor, into the
     // fused scratch; Draw() now only draws from it.
-    BuildInstrumental(Clamp(estimator_.FAlphaOr(initial_f_), 0.0, 1.0),
+    BuildInstrumental(Clamp(estimator_.FAlphaOr(setup_->initial_f()), 0.0, 1.0),
                       v_scratch_.data(), running_scratch_.data());
   }
 }
@@ -414,12 +420,12 @@ Result<std::vector<double>> OasisSampler::AliasInstrumental() const {
 }
 
 Result<std::vector<double>> OasisSampler::CurrentInstrumental() const {
-  const double f_current = estimator_.FAlphaOr(initial_f_);
+  const double f_current = estimator_.FAlphaOr(setup_->initial_f());
   std::vector<double> pi = model_.PosteriorMeans();
   OASIS_ASSIGN_OR_RETURN(
       std::vector<double> v_star,
-      OptimalStratifiedInstrumental(strata_->weights(), lambda_, pi, f_current,
-                                    options_.alpha));
+      OptimalStratifiedInstrumental(strata_->weights(), setup_->lambda(), pi,
+                                    f_current, options_.alpha));
   return EpsilonGreedyMix(strata_->weights(), v_star, active_epsilon_);
 }
 

@@ -9,6 +9,7 @@
 #include "common/alias_table.h"
 #include "core/ais_estimator.h"
 #include "core/bayesian_model.h"
+#include "core/oasis_setup.h"
 #include "sampling/sampler.h"
 #include "stats/degeneracy.h"
 #include "strata/csf.h"
@@ -116,10 +117,19 @@ struct OasisOptions {
 /// statistical verification.
 class OasisSampler : public Sampler {
  public:
-  /// Creates a sampler over a pre-built stratification. `pool` and `labels`
-  /// must outlive the sampler; `strata` is shared so that repeated experiment
-  /// runs reuse one stratification. Initial guesses come from Algorithm 2
-  /// applied to the pool scores.
+  /// Creates one sampler from a shared set-up in O(K): no pass over the pool.
+  /// Refuses (InvalidArgument, before allocating anything) a null input, a
+  /// `pool` other than the set-up's own object or of another size, an
+  /// options.alpha other than the set-up's, and out-of-range options.
+  /// `pool` and `labels` must outlive the sampler. Every repeat of a run
+  /// creates its sampler this way from one set-up.
+  static Result<std::unique_ptr<OasisSampler>> Create(
+      std::shared_ptr<const OasisSetup> setup, const ScoredPool* pool,
+      LabelCache* labels, const OasisOptions& options, Rng rng);
+
+  /// Convenience: builds a one-off OasisSetup over `strata` (O(N)) and
+  /// creates the sampler from it. `pool` and `labels` must outlive the
+  /// sampler. Prefer one shared set-up when creating many samplers.
   static Result<std::unique_ptr<OasisSampler>> Create(
       const ScoredPool* pool, LabelCache* labels,
       std::shared_ptr<const Strata> strata, const OasisOptions& options, Rng rng);
@@ -165,15 +175,17 @@ class OasisSampler : public Sampler {
   const StratifiedBetaModel& model() const { return model_; }
 
   /// Per-stratum mean predictions lambda (fixed by the pool).
-  const std::vector<double>& lambda() const { return lambda_; }
+  const std::vector<double>& lambda() const { return setup_->lambda(); }
 
   /// The stratification the sampler draws over.
   const Strata& strata() const { return *strata_; }
+  /// The shared set-up the sampler was created from.
+  const OasisSetup& setup() const { return *setup_; }
   /// Resolved options (prior_strength filled in when the caller left it 0).
   const OasisOptions& options() const { return options_; }
   /// Algorithm-2 initial F-measure guess F-hat(0), used until Eqn. (3) is
   /// defined.
-  double initial_f() const { return initial_f_; }
+  double initial_f() const { return setup_->initial_f(); }
 
   /// The importance-weight health monitor (always collecting; see
   /// OasisOptions::degeneracy).
@@ -190,10 +202,9 @@ class OasisSampler : public Sampler {
   double active_epsilon() const { return active_epsilon_; }
 
  private:
-  OasisSampler(const ScoredPool* pool, LabelCache* labels,
-               std::shared_ptr<const Strata> strata, const OasisOptions& options,
-               Rng rng, StratifiedBetaModel model, std::vector<double> lambda,
-               double initial_f);
+  OasisSampler(std::shared_ptr<const OasisSetup> setup, const ScoredPool* pool,
+               LabelCache* labels, const OasisOptions& options, Rng rng,
+               StratifiedBetaModel model);
 
   /// What lines 3-5 hand to the shared tail: the stratum drawn and the
   /// probability v_k of the distribution the draw actually used.
@@ -255,11 +266,12 @@ class OasisSampler : public Sampler {
   /// drift against the alias snapshot.
   void ObserveLabel(size_t stratum, bool label);
 
-  std::shared_ptr<const Strata> strata_;
+  // Shared, immutable per-run state: strata, Algorithm-2 guesses, lambda and
+  // the per-stratum v* constants. strata_ points into it for the step path.
+  std::shared_ptr<const OasisSetup> setup_;
+  const Strata* strata_;
   OasisOptions options_;
   StratifiedBetaModel model_;
-  std::vector<double> lambda_;
-  double initial_f_;
   AisEstimator estimator_;
   Observer observer_;
   // --- Degeneracy state --------------------------------------------------
@@ -282,13 +294,6 @@ class OasisSampler : public Sampler {
   // model_.PosteriorMeans() at all times.
   std::vector<double> pi_cache_;
   std::vector<double> sqrt_pi_cache_;
-  // Precomputed per-stratum constant (1 - alpha) * (1 - lambda_k) of the v*
-  // formula; fixed for the sampler's lifetime. The factor grouping mirrors
-  // the reference implementation exactly so the fused scan stays bit-for-bit
-  // identical to it.
-  std::vector<double> c_not_pred_;
-  // alpha^2, precomputed once.
-  double alpha_sq_ = 0.0;
   // --- Alias-path state --------------------------------------------------
   // Static O(1) sampler over the stratum weights omega — the epsilon branch
   // of the mixture and the degenerate all-zero-mass fallback.

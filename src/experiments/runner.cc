@@ -51,14 +51,19 @@ MethodSpec MakeImportanceSpec(const ImportanceOptions& options) {
   return spec;
 }
 
-MethodSpec MakeOasisSpec(const OasisOptions& options,
-                         std::shared_ptr<const Strata> strata) {
+Result<MethodSpec> MakeOasisSpec(const OasisOptions& options,
+                                 const ScoredPool& pool,
+                                 std::shared_ptr<const Strata> strata) {
+  OASIS_ASSIGN_OR_RETURN(
+      std::shared_ptr<const OasisSetup> setup,
+      OasisSetup::Create(&pool, std::move(strata), options.alpha));
   MethodSpec spec;
-  spec.name = "OASIS-" + std::to_string(strata->num_strata());
-  spec.factory = [options, strata](const ScoredPool* pool, LabelCache* labels,
-                                   Rng rng) -> Result<std::unique_ptr<Sampler>> {
-    OASIS_ASSIGN_OR_RETURN(std::unique_ptr<OasisSampler> sampler,
-                           OasisSampler::Create(pool, labels, strata, options, rng));
+  spec.name = "OASIS-" + std::to_string(setup->strata().num_strata());
+  spec.factory = [options, setup](const ScoredPool* pool, LabelCache* labels,
+                                  Rng rng) -> Result<std::unique_ptr<Sampler>> {
+    OASIS_ASSIGN_OR_RETURN(
+        std::unique_ptr<OasisSampler> sampler,
+        OasisSampler::Create(setup, pool, labels, options, rng));
     return std::unique_ptr<Sampler>(std::move(sampler));
   };
   return spec;

@@ -46,10 +46,14 @@ MethodSpec MakePassiveSpec(double alpha);
 MethodSpec MakeStratifiedSpec(double alpha, std::shared_ptr<const Strata> strata);
 /// Static importance sampling method spec.
 MethodSpec MakeImportanceSpec(const ImportanceOptions& options);
-/// OASIS (adaptive importance sampling) method spec over a shared
-/// stratification.
-MethodSpec MakeOasisSpec(const OasisOptions& options,
-                         std::shared_ptr<const Strata> strata);
+/// OASIS (adaptive importance sampling) method spec. Builds the run's one
+/// OasisSetup over (`pool`, `strata`, options.alpha) here, so a bad pool or
+/// strata fails now and the O(N) set-up cost is paid once; the factory then
+/// creates each repeat's sampler from it in O(K), and refuses any pool other
+/// than `pool` itself, which must outlive the spec.
+Result<MethodSpec> MakeOasisSpec(const OasisOptions& options,
+                                 const ScoredPool& pool,
+                                 std::shared_ptr<const Strata> strata);
 
 /// Most repeat x checkpoint result cells one run may hold: RunErrorCurve
 /// keeps up to eight numbers per cell, and oasis_serve one checkpoint ack

@@ -112,7 +112,7 @@ Result<MethodSpec> MakeMethodByName(const std::string& method, double alpha,
     OasisOptions options;
     options.alpha = alpha;
     OASIS_ASSIGN_OR_RETURN(options.step_path, StepPathFromName(step_path));
-    return MakeOasisSpec(options, std::move(shared));
+    return MakeOasisSpec(options, pool, std::move(shared));
   }
   return Status::InvalidArgument("MakeMethodByName: unknown method '" + method +
                                  "'");

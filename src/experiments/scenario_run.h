@@ -59,7 +59,9 @@ struct ScenarioRunOptions {
 /// [1, pool.size()] (InvalidArgument otherwise); "passive" and "is" ignore
 /// the stratum count. `step_path` selects the OASIS step path by
 /// the ScenarioRunOptions::step_path names and is ignored by every other
-/// method.
+/// method. "oasis" also builds its OasisSetup here (see MakeOasisSpec): an
+/// invalid pool fails now rather than in the first repeat, and the spec's
+/// factory accepts only `pool` itself, which must outlive the spec.
 Result<MethodSpec> MakeMethodByName(const std::string& method, double alpha,
                                     const ScoredPool& pool,
                                     int64_t target_strata,

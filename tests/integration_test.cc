@@ -72,9 +72,10 @@ TEST(IntegrationTest, OasisBeatsPassiveOnGeneratedPool) {
   options.trajectory.checkpoint_every = 500;
 
   auto oasis_curve =
-      experiments::RunErrorCurve(experiments::MakeOasisSpec(OasisOptions{}, strata),
-                                 pool.scored, oracle, pool.true_measures.f_alpha,
-                                 options)
+      experiments::RunErrorCurve(
+          experiments::MakeOasisSpec(OasisOptions{}, pool.scored, strata)
+              .ValueOrDie(),
+          pool.scored, oracle, pool.true_measures.f_alpha, options)
           .ValueOrDie();
   auto passive_curve =
       experiments::RunErrorCurve(experiments::MakePassiveSpec(0.5), pool.scored,

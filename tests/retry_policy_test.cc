@@ -590,9 +590,9 @@ TEST(RetryRunnerTest, CsvCarriesRetryAndEssColumns) {
   policy.max_attempts = 30;  // Seed-robust: give-ups are ~impossible.
   options.stack.retry = policy;
   const exp::ErrorCurve curve =
-      exp::RunErrorCurve(exp::MakeOasisSpec(OasisOptions{}, strata),
-                         pool.scored, oracle, pool.true_measures.f_alpha,
-                         options)
+      exp::RunErrorCurve(
+          exp::MakeOasisSpec(OasisOptions{}, pool.scored, strata).ValueOrDie(),
+          pool.scored, oracle, pool.true_measures.f_alpha, options)
           .ValueOrDie();
   ASSERT_TRUE(curve.has_fault_stats);
   ASSERT_TRUE(curve.has_degeneracy_stats);

@@ -91,8 +91,9 @@ TEST(RunnerParallelTest, MatchesPreRefactorSequentialGolden) {
             .ValueOrDie();
     ExpectCurveMatchesGolden(passive, kGoldenPassive);
     ErrorCurve oasis =
-        RunErrorCurve(MakeOasisSpec(OasisOptions{}, strata), pool.scored,
-                      oracle, pool.true_measures.f_alpha, options)
+        RunErrorCurve(
+            MakeOasisSpec(OasisOptions{}, pool.scored, strata).ValueOrDie(),
+            pool.scored, oracle, pool.true_measures.f_alpha, options)
             .ValueOrDie();
     EXPECT_EQ(oasis.method, "OASIS-10");
     ExpectCurveMatchesGolden(oasis, kGoldenOasis10);
@@ -224,7 +225,8 @@ TEST(RunnerParallelTest, BitIdenticalAcrossThreadCounts) {
       StratifyCsf(pool.scored.scores, 10).ValueOrDie());
 
   for (const MethodSpec& spec :
-       {MakePassiveSpec(0.5), MakeOasisSpec(OasisOptions{}, strata)}) {
+       {MakePassiveSpec(0.5),
+        MakeOasisSpec(OasisOptions{}, pool.scored, strata).ValueOrDie()}) {
     RunnerOptions options;
     options.repeats = 12;
     options.trajectory.budget = 300;

@@ -247,10 +247,11 @@ TEST(RunnerTest, OasisSpecOutperformsPassiveOnImbalancedPool) {
   options.trajectory.budget = 400;
   options.trajectory.checkpoint_every = 400;
 
-  ErrorCurve oasis = RunErrorCurve(MakeOasisSpec(OasisOptions{}, strata),
-                                   pool.scored, oracle,
-                                   pool.true_measures.f_alpha, options)
-                         .ValueOrDie();
+  ErrorCurve oasis =
+      RunErrorCurve(
+          MakeOasisSpec(OasisOptions{}, pool.scored, strata).ValueOrDie(),
+          pool.scored, oracle, pool.true_measures.f_alpha, options)
+          .ValueOrDie();
   ErrorCurve passive = RunErrorCurve(MakePassiveSpec(0.5), pool.scored, oracle,
                                      pool.true_measures.f_alpha, options)
                            .ValueOrDie();
@@ -276,7 +277,7 @@ TEST(RunnerTest, AllFourMethodSpecsRun) {
   for (const MethodSpec& spec :
        {MakePassiveSpec(0.5), MakeStratifiedSpec(0.5, strata),
         MakeImportanceSpec(ImportanceOptions{}),
-        MakeOasisSpec(OasisOptions{}, strata)}) {
+        MakeOasisSpec(OasisOptions{}, pool.scored, strata).ValueOrDie()}) {
     ErrorCurve curve = RunErrorCurve(spec, pool.scored, oracle,
                                      pool.true_measures.f_alpha, options)
                            .ValueOrDie();

@@ -289,14 +289,18 @@ TEST(TelemetryDeterminismTest, ErrorCurveBitIdenticalWithTelemetryOnOrOff) {
 
     options.telemetry.enable = false;
     const experiments::ErrorCurve reference =
-        RunErrorCurve(experiments::MakeOasisSpec(OasisOptions{}, strata),
+        RunErrorCurve(experiments::MakeOasisSpec(OasisOptions{}, pool.scored,
+                                                 strata)
+                          .ValueOrDie(),
                       pool.scored, oracle, pool.true_measures.f_alpha, options)
             .ValueOrDie();
 
     options.telemetry.enable = true;
     SetDetailEnabled(true);  // Exercise the per-step weight histogram too.
     const experiments::ErrorCurve instrumented =
-        RunErrorCurve(experiments::MakeOasisSpec(OasisOptions{}, strata),
+        RunErrorCurve(experiments::MakeOasisSpec(OasisOptions{}, pool.scored,
+                                                 strata)
+                          .ValueOrDie(),
                       pool.scored, oracle, pool.true_measures.f_alpha, options)
             .ValueOrDie();
     SetDetailEnabled(false);
@@ -348,8 +352,10 @@ TEST(TelemetryCoverageTest, ExportsCoverSamplerRunnerAndOracleLayers) {
 
   DefaultTraceCollector().Clear();
   ASSERT_TRUE(
-      RunErrorCurve(experiments::MakeOasisSpec(OasisOptions{}, strata),
-                    pool.scored, oracle, pool.true_measures.f_alpha, options)
+      RunErrorCurve(
+          experiments::MakeOasisSpec(OasisOptions{}, pool.scored, strata)
+              .ValueOrDie(),
+          pool.scored, oracle, pool.true_measures.f_alpha, options)
           .ok());
 
   const std::string prom = PrometheusText(DefaultRegistry());

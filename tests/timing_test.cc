@@ -47,9 +47,10 @@ TEST(TimingTest, OasisCostsMoreThanPassivePerIteration) {
   TimingResult passive =
       TimeMethod(MakePassiveSpec(0.5), pool.scored, oracle, 20000, 2, 13)
           .ValueOrDie();
-  TimingResult oasis = TimeMethod(MakeOasisSpec(OasisOptions{}, strata),
-                                  pool.scored, oracle, 20000, 2, 13)
-                           .ValueOrDie();
+  TimingResult oasis =
+      TimeMethod(MakeOasisSpec(OasisOptions{}, pool.scored, strata).ValueOrDie(),
+                 pool.scored, oracle, 20000, 2, 13)
+          .ValueOrDie();
   EXPECT_GT(oasis.cpu_seconds_per_iteration,
             passive.cpu_seconds_per_iteration);
 }
