@@ -179,8 +179,6 @@ class OasisSampler : public Sampler {
 
   /// The stratification the sampler draws over.
   const Strata& strata() const { return *strata_; }
-  /// The shared set-up the sampler was created from.
-  const OasisSetup& setup() const { return *setup_; }
   /// Resolved options (prior_strength filled in when the caller left it 0).
   const OasisOptions& options() const { return options_; }
   /// Algorithm-2 initial F-measure guess F-hat(0), used until Eqn. (3) is

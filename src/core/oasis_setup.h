@@ -31,9 +31,7 @@ class OasisSetup {
   /// built from, still of the size it had then, and `alpha` is the set-up's.
   Status CheckMatches(const ScoredPool* pool, double alpha) const;
 
-  const ScoredPool& pool() const { return *pool_; }
   const Strata& strata() const { return *strata_; }
-  double alpha() const { return alpha_; }
   /// Algorithm-2 pi-hat(0), clamped to (0, 1) (valid beta-prior means).
   const std::vector<double>& initial_pi() const { return initial_pi_; }
   /// Per-stratum mean predictions lambda_k (fixed by the pool).

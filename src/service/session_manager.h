@@ -88,7 +88,8 @@ class SessionManager {
     /// Created lazily on the first sharing session; RemoteOracle gates
     /// engagement on the oracle being deterministic and RNG-free.
     std::unique_ptr<SharedLabelStore> store;
-    /// MethodSpec per "method/strata" key (shared Strata inside).
+    /// MethodSpec per "method/strata" key (shared Strata inside; for OASIS
+    /// also the run's shared OasisSetup).
     std::unordered_map<std::string, experiments::MethodSpec> methods;
   };
 

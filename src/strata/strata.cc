@@ -78,15 +78,17 @@ Result<Strata> Strata::FromScoreEdges(std::span<const double> scores,
   // starting bin (the bin of its bucket's lower boundary), and a fix-up
   // against the real edges makes it exact; with a few buckets per bin the
   // fix-up rarely moves, so this costs O(1) per item instead of a
-  // mispredicting binary search. A range too wide for a finite bucket width
-  // starts from the binary search instead.
+  // mispredicting binary search. A range too wide or too narrow for a finite
+  // bucket scale (infinite edges, subnormal widths) starts from the binary
+  // search instead.
   constexpr size_t kBucketsPerBin = 4;
   const size_t num_bins = edges.size() - 1;
   const double lo = edges.front();
   const double range = edges.back() - lo;
-  const bool bucketed = std::isfinite(range);
+  const double scale =
+      static_cast<double>(kBucketsPerBin * num_bins) / range;
+  const bool bucketed = std::isfinite(range) && std::isfinite(scale);
   const size_t num_buckets = bucketed ? kBucketsPerBin * num_bins : 0;
-  const double scale = static_cast<double>(num_buckets) / range;
   const double last_bucket = static_cast<double>(num_buckets) - 1.0;
   std::vector<int32_t> first_bin(num_buckets);
   size_t bin = 0;
@@ -109,7 +111,8 @@ Result<Strata> Strata::FromScoreEdges(std::span<const double> scores,
       k = static_cast<size_t>(first_bin[static_cast<size_t>(bucket)]);
     } else {
       const auto it = std::upper_bound(edges.begin(), edges.end(), s);
-      k = static_cast<size_t>(std::max<ptrdiff_t>(it - edges.begin() - 1, 0));
+      k = static_cast<size_t>(std::clamp<ptrdiff_t>(
+          it - edges.begin() - 1, 0, static_cast<ptrdiff_t>(num_bins) - 1));
     }
     while (k > 0 && s < edges[k]) --k;
     while (k + 1 < num_bins && s >= edges[k + 1]) ++k;

@@ -158,6 +158,41 @@ TEST(StrataTest, FromScoreEdgesMatchesUpperBoundRule) {
   }
 }
 
+TEST(StrataTest, FromScoreEdgesMatchesUpperBoundRuleOnExtremeEdges) {
+  // Ranges no finite bucket scale covers: infinite end edges, a span that
+  // overflows, and subnormal widths.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double big = std::numeric_limits<double>::max();
+  Rng rng(43);
+  for (const std::vector<double>& edges :
+       {std::vector<double>{-inf, -1.0, 0.0, 1.0, inf},
+        std::vector<double>{0.0, 1.0, inf},
+        std::vector<double>{-big, 0.0, big},
+        std::vector<double>{0.0, tiny, 2 * tiny, 3 * tiny}}) {
+    std::vector<double> scores = {inf, -inf, 0.0, -0.0, 0.5, -2.0, 2.0,
+                                  big, -big, tiny, 2 * tiny, 5 * tiny};
+    for (double e : edges) {
+      scores.push_back(e);
+      scores.push_back(std::nextafter(e, -inf));
+      scores.push_back(std::nextafter(e, inf));
+    }
+    for (int i = 0; i < 100; ++i) scores.push_back(rng.NextGaussian());
+    const Strata strata = Strata::FromScoreEdges(scores, edges).ValueOrDie();
+    std::vector<int32_t> expected(scores.size());
+    for (size_t i = 0; i < scores.size(); ++i) {
+      expected[i] = UpperBoundBin(scores[i], edges);
+    }
+    // Bins left empty are compacted away; compare the induced partition.
+    const Strata reference = Strata::FromAssignment(expected).ValueOrDie();
+    for (size_t i = 0; i < scores.size(); ++i) {
+      ASSERT_EQ(strata.stratum_of(static_cast<int64_t>(i)),
+                reference.stratum_of(static_cast<int64_t>(i)))
+          << "score=" << scores[i];
+    }
+  }
+}
+
 TEST(StrataTest, FromScoreEdgesRefusesNaNScores) {
   const std::vector<double> edges = ProbeEdges(30, 0.0, 1.0, false);
   for (size_t at : {0u, 7u, 99u}) {
