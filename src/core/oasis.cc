@@ -59,10 +59,15 @@ OasisSampler::OasisSampler(std::shared_ptr<const OasisSetup> setup,
   }
 }
 
-namespace {
-
-/// The option ranges Algorithm 3 needs; O(1).
-Status CheckOasisOptions(const OasisOptions& options) {
+Result<std::unique_ptr<OasisSampler>> OasisSampler::Create(
+    std::shared_ptr<const OasisSetup> setup, const ScoredPool* pool,
+    LabelCache* labels, const OasisOptions& options, Rng rng) {
+  if (setup == nullptr || pool == nullptr || labels == nullptr) {
+    return Status::InvalidArgument("OasisSampler: null setup/pool/labels");
+  }
+  // O(1): the pool, strata and Algorithm-2 guesses were validated and
+  // computed once, when the set-up was built.
+  OASIS_RETURN_NOT_OK(setup->CheckMatches(pool, options.alpha));
   if (std::isnan(options.epsilon) || options.epsilon <= 0.0 ||
       options.epsilon > 1.0) {
     return Status::InvalidArgument(
@@ -80,21 +85,6 @@ Status CheckOasisOptions(const OasisOptions& options) {
     return Status::InvalidArgument(
         "OasisSampler: degraded_epsilon must lie in (0, 1]");
   }
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<std::unique_ptr<OasisSampler>> OasisSampler::Create(
-    std::shared_ptr<const OasisSetup> setup, const ScoredPool* pool,
-    LabelCache* labels, const OasisOptions& options, Rng rng) {
-  if (setup == nullptr || pool == nullptr || labels == nullptr) {
-    return Status::InvalidArgument("OasisSampler: null setup/pool/labels");
-  }
-  // O(1): the pool, strata and Algorithm-2 guesses were validated and
-  // computed once, when the set-up was built.
-  OASIS_RETURN_NOT_OK(setup->CheckMatches(pool, options.alpha));
-  OASIS_RETURN_NOT_OK(CheckOasisOptions(options));
 
   // Sec. 6.3 default: eta = 2K unless the caller fixed a strength.
   OasisOptions resolved = options;
