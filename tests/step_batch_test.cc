@@ -1,8 +1,8 @@
 // Equivalence tests for the batched / zero-allocation sampling hot path:
 //  * the *Into variants produce exactly the values of their allocating
 //    reference functions;
-//  * OasisSampler's fused step path is bit-for-bit identical to the original
-//    allocating reference path;
+//  * OasisSampler's fused step draws each stratum from CurrentInstrumental()
+//    and weights it omega_k / v_k, bit for bit;
 //  * StepBatch(n) equals n calls to Step() exactly, for every sampler, under
 //    an RNG-free and an RNG-consuming (noisy) oracle;
 //  * the batched RunTrajectory matches the original per-step driver loop;
@@ -169,24 +169,34 @@ TEST(IntoVariantsTest, PosteriorMeansIntoMatches) {
   EXPECT_FALSE(model.PosteriorMeansInto(std::span<double>(short_out)).ok());
 }
 
-// --- Fused vs allocating reference step path ------------------------------
+// --- Fused step path vs CurrentInstrumental() -----------------------------
 
-struct FusedReferenceCase {
+struct FusedStepCase {
   const char* name;
   size_t target_strata;
   int64_t pool_size;
   // All predictions negative: lambda = 0 and F-hat = 0 zero every v* mass,
   // so every step takes the total <= 0 omega fallback.
   bool no_predicted_positives;
+  // Arm the degeneracy hook with thresholds that trip within the run, and
+  // keep adapting v(t) once degraded (freeze_instrumental_on_degrade off), so
+  // the later steps draw under the boosted epsilon floor.
+  bool degrade;
 };
 
-void PrintTo(const FusedReferenceCase& c, std::ostream* os) { *os << c.name; }
+void PrintTo(const FusedStepCase& c, std::ostream* os) { *os << c.name; }
 
-class OasisStepPathTest : public ::testing::TestWithParam<FusedReferenceCase> {
-};
+class OasisStepPathTest : public ::testing::TestWithParam<FusedStepCase> {};
 
-TEST_P(OasisStepPathTest, FusedMatchesAllocatingReferenceBitForBit) {
-  const FusedReferenceCase& param = GetParam();
+// Algorithm 3, lines 3-6, pinned through the public API alone: before each
+// step, v(t) = CurrentInstrumental() (the spec-level OptimalStratified-
+// Instrumental + EpsilonGreedyMix over a full posterior recomputation) and a
+// twin Rng replays lines 4-5 with the linear-scan draw. The fused step must
+// then have observed that very stratum and weighted it omega_k / v_k, bit for
+// bit. GroundTruthOracle draws nothing from the Rng, so the twin stays in
+// lock-step with the sampler.
+TEST_P(OasisStepPathTest, FusedStepDrawsFromCurrentInstrumentalBitForBit) {
+  const FusedStepCase& param = GetParam();
   testutil::SyntheticPoolOptions pool_options;
   pool_options.size = param.pool_size;
   pool_options.seed = 321;
@@ -197,60 +207,62 @@ TEST_P(OasisStepPathTest, FusedMatchesAllocatingReferenceBitForBit) {
   }
   GroundTruthOracle oracle(pool.truth);
 
-  OasisOptions fused_options;
-  fused_options.step_path = OasisStepPath::kFused;
-  OasisOptions reference_options;
-  reference_options.step_path = OasisStepPath::kAllocatingReference;
-
-  LabelCache fused_labels(&oracle);
-  LabelCache reference_labels(&oracle);
-  const uint64_t seed = 2026;
-  auto fused = OasisSampler::CreateWithCsf(&pool.scored, &fused_labels,
-                                           param.target_strata, fused_options,
-                                           Rng(seed))
-                   .ValueOrDie();
-  auto reference =
-      OasisSampler::CreateWithCsf(&pool.scored, &reference_labels,
-                                  param.target_strata, reference_options,
-                                  Rng(seed))
-          .ValueOrDie();
-  ASSERT_EQ(fused->strata().num_strata(), param.target_strata);
-  if (param.no_predicted_positives) {
-    for (const double lambda : fused->lambda()) ASSERT_EQ(lambda, 0.0);
-    ASSERT_EQ(fused->initial_f(), 0.0);
+  OasisOptions options;
+  options.step_path = OasisStepPath::kFused;
+  if (param.degrade) {
+    options.degrade_on_degeneracy = true;
+    options.degraded_epsilon = 0.6;
+    options.freeze_instrumental_on_degrade = false;
+    options.degeneracy.min_observations = 64;
+    options.degeneracy.ess_floor_fraction = 0.9;
+    options.degeneracy.tail_mass_ceiling = 2.0;
   }
+  LabelCache labels(&oracle);
+  const uint64_t seed = 2026;
+  auto sampler = OasisSampler::CreateWithCsf(&pool.scored, &labels,
+                                             param.target_strata, options,
+                                             Rng(seed))
+                     .ValueOrDie();
+  ASSERT_EQ(sampler->strata().num_strata(), param.target_strata);
+  if (param.no_predicted_positives) {
+    for (const double lambda : sampler->lambda()) ASSERT_EQ(lambda, 0.0);
+    ASSERT_EQ(sampler->initial_f(), 0.0);
+  }
+  double observed_weight = -1.0;
+  sampler->SetObserver(
+      [&observed_weight](double weight, bool, bool) { observed_weight = weight; });
 
+  Rng twin(seed);
   for (int step = 0; step < 800; ++step) {
-    ASSERT_TRUE(fused->Step().ok());
-    ASSERT_TRUE(reference->Step().ok());
-    ExpectSnapshotsIdentical(fused->Estimate(), reference->Estimate());
-    if (param.no_predicted_positives && fused->Estimate().f_defined) {
-      ASSERT_EQ(fused->Estimate().f_alpha, 0.0);
+    const std::vector<double> v = sampler->CurrentInstrumental().ValueOrDie();
+    const size_t k = twin.NextDiscreteLinear(v);
+    sampler->strata().SampleItem(k, twin);
+    const int64_t observed_before = sampler->model().labels_observed(k);
+
+    ASSERT_TRUE(sampler->Step().ok());
+    ASSERT_EQ(sampler->model().labels_observed(k), observed_before + 1)
+        << "step " << step << " did not draw stratum " << k;
+    ASSERT_EQ(observed_weight, sampler->strata().weight(k) / v[k])
+        << "step " << step;
+    if (param.no_predicted_positives && sampler->Estimate().f_defined) {
+      ASSERT_EQ(sampler->Estimate().f_alpha, 0.0);
     }
   }
-  EXPECT_EQ(fused->labels_consumed(), reference->labels_consumed());
-  EXPECT_EQ(fused->iterations(), reference->iterations());
-
-  // The incremental posterior caches must agree exactly with a full
-  // recomputation from the model, and both samplers visited the same strata.
-  const std::vector<double> fused_pi = fused->PosteriorMeans();
-  const std::vector<double> reference_pi = reference->PosteriorMeans();
-  ASSERT_EQ(fused_pi.size(), reference_pi.size());
-  for (size_t k = 0; k < fused_pi.size(); ++k) {
-    EXPECT_EQ(fused_pi[k], reference_pi[k]);
-    EXPECT_EQ(fused->model().labels_observed(k),
-              reference->model().labels_observed(k));
+  if (param.degrade) {
+    EXPECT_TRUE(sampler->degraded());
+    EXPECT_EQ(sampler->active_epsilon(), 0.6);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Strata, OasisStepPathTest,
-    ::testing::Values(FusedReferenceCase{"K1", 1, 4000, false},
-                      FusedReferenceCase{"K30", 30, 4000, false},
-                      FusedReferenceCase{"K1000", 1000, 20000, false},
-                      FusedReferenceCase{"NoPredictedPositives", 30, 4000,
-                                         true}),
-    [](const ::testing::TestParamInfo<FusedReferenceCase>& info) {
+    ::testing::Values(
+        FusedStepCase{"K1", 1, 4000, false, false},
+        FusedStepCase{"K30", 30, 4000, false, false},
+        FusedStepCase{"K1000", 1000, 20000, false, false},
+        FusedStepCase{"NoPredictedPositives", 30, 4000, true, false},
+        FusedStepCase{"DegradedAdaptive", 30, 4000, false, true}),
+    [](const ::testing::TestParamInfo<FusedStepCase>& info) {
       return std::string(info.param.name);
     });
 
