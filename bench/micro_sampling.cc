@@ -194,33 +194,6 @@ BENCHMARK(BM_OasisStep)
     ->Arg(1000)
     ->Arg(10000);
 
-/// One OASIS iteration through the original allocating path, kept as the
-/// baseline the fused path is compared against.
-void BM_OasisStepAllocating(benchmark::State& state) {
-  const size_t k = static_cast<size_t>(state.range(0));
-  static BenchPool* pool = new BenchPool(MakePool(100000));
-  GroundTruthOracle oracle(pool->truth);
-  LabelCache labels(&oracle);
-  OasisOptions options;
-  options.step_path = OasisStepPath::kAllocatingReference;
-  auto sampler =
-      OasisSampler::CreateWithCsf(&pool->scored, &labels, k, options, Rng(4))
-          .ValueOrDie();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sampler->Step().ok());
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["K"] = static_cast<double>(sampler->strata().num_strata());
-  state.SetLabel("K=" + std::to_string(sampler->strata().num_strata()));
-}
-BENCHMARK(BM_OasisStepAllocating)
-    ->Arg(10)
-    ->Arg(30)
-    ->Arg(60)
-    ->Arg(120)
-    ->Arg(1000)
-    ->Arg(10000);
-
 /// One OASIS iteration through the alias path: O(1) draws from a frozen
 /// Walker/Vose snapshot, O(K) in-place rebuilds when the drift gate fires.
 /// The point of comparison for BM_OasisStep (fused O(K)) as K grows; the

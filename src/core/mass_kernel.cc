@@ -1,30 +1,10 @@
 #include "core/mass_kernel.h"
 
-#include <cmath>
-
-#if defined(__AVX2__)
-#include <immintrin.h>
-#elif defined(__SSE2__)
+#if defined(__SSE2__)
 #include <emmintrin.h>
 #endif
 
 namespace oasis {
-
-namespace {
-
-/// The scalar formula, shared by the vector tails and the fallback. Factor
-/// grouping mirrors OptimalStratifiedInstrumentalInto / StratumMass exactly:
-/// not_pred associates as (c * f) * sqrt_pi, the radicand as
-/// (a2f2 * (1 - pi)) + (omf2 * pi).
-inline double ScalarMass(double weight, double lambda, double pi,
-                         double sqrt_pi, double c_not_pred, double f,
-                         double a2f2, double omf2) {
-  const double not_pred = c_not_pred * f * sqrt_pi;
-  const double pred = lambda * std::sqrt(a2f2 * (1.0 - pi) + omf2 * pi);
-  return weight * (not_pred + pred);
-}
-
-}  // namespace
 
 double StratumMassKernel(const double* weights, const double* lambda,
                          const double* pi, const double* sqrt_pi,
@@ -34,32 +14,7 @@ double StratumMassKernel(const double* weights, const double* lambda,
   // element, in index order, whatever the lane count.
   double total = 0.0;
   size_t i = 0;
-#if defined(__AVX2__)
-  const __m256d vf = _mm256_set1_pd(f);
-  const __m256d va2f2 = _mm256_set1_pd(a2f2);
-  const __m256d vomf2 = _mm256_set1_pd(omf2);
-  const __m256d vone = _mm256_set1_pd(1.0);
-  for (; i + 4 <= n; i += 4) {
-    const __m256d p = _mm256_loadu_pd(pi + i);
-    const __m256d not_pred = _mm256_mul_pd(
-        _mm256_mul_pd(_mm256_loadu_pd(c_not_pred + i), vf),
-        _mm256_loadu_pd(sqrt_pi + i));
-    // No _mm256_fmadd_pd here: the scalar formula rounds the two products
-    // separately before the add, and bit-identity is the contract.
-    const __m256d radicand =
-        _mm256_add_pd(_mm256_mul_pd(va2f2, _mm256_sub_pd(vone, p)),
-                      _mm256_mul_pd(vomf2, p));
-    const __m256d pred = _mm256_mul_pd(_mm256_loadu_pd(lambda + i),
-                                       _mm256_sqrt_pd(radicand));
-    _mm256_storeu_pd(v + i,
-                     _mm256_mul_pd(_mm256_loadu_pd(weights + i),
-                                   _mm256_add_pd(not_pred, pred)));
-    total += v[i];
-    total += v[i + 1];
-    total += v[i + 2];
-    total += v[i + 3];
-  }
-#elif defined(__SSE2__)
+#if defined(__SSE2__)
   const __m128d vf = _mm_set1_pd(f);
   const __m128d va2f2 = _mm_set1_pd(a2f2);
   const __m128d vomf2 = _mm_set1_pd(omf2);
@@ -85,14 +40,6 @@ double StratumMassKernel(const double* weights, const double* lambda,
     total += v[i];
   }
   return total;
-}
-
-bool MassKernelVectorized() {
-#if defined(__AVX2__) || defined(__SSE2__)
-  return true;
-#else
-  return false;
-#endif
 }
 
 }  // namespace oasis

@@ -1,28 +1,46 @@
 #ifndef OASIS_CORE_MASS_KERNEL_H_
 #define OASIS_CORE_MASS_KERNEL_H_
 
+#include <cmath>
 #include <cstddef>
 
 namespace oasis {
 
-/// Elementwise unnormalised v* mass kernel of the OASIS instrumental
-/// (Eqn. 11):
+/// Unnormalised v* mass of one stratum of the OASIS instrumental (Eqn. 11):
 ///
-///   v[i] = weights[i] * (c_not_pred[i] * f * sqrt_pi[i]
-///          + lambda[i] * sqrt(a2f2 * (1 - pi[i]) + omf2 * pi[i]))
+///   weight * (c_not_pred * f * sqrt_pi
+///             + lambda * sqrt(a2f2 * (1 - pi) + omf2 * pi))
 ///
 /// with `a2f2` = alpha^2 * F^2 and `omf2` = (1 - F)^2 precomputed by the
-/// caller with left-to-right association (a2f2 = alpha_sq * f * f), matching
-/// OasisSampler::StratumMass exactly.
+/// caller with left-to-right association (a2f2 = alpha_sq * f * f,
+/// omf2 = (1 - f) * (1 - f)). The factor grouping mirrors
+/// OptimalStratifiedInstrumental exactly: not_pred associates as
+/// (c_not_pred * f) * sqrt_pi, the radicand as (a2f2 * (1 - pi)) +
+/// (omf2 * pi). The one formula of the fused and alias step paths: the
+/// kernel below computes it per element and OasisSampler::StratumMass per
+/// stratum, so the kAlias live masses equal the kernel's snapshot masses bit
+/// for bit.
+inline double ScalarMass(double weight, double lambda, double pi,
+                         double sqrt_pi, double c_not_pred, double f,
+                         double a2f2, double omf2) {
+  const double not_pred = c_not_pred * f * sqrt_pi;
+  const double pred = lambda * std::sqrt(a2f2 * (1.0 - pi) + omf2 * pi);
+  return weight * (not_pred + pred);
+}
+
+/// Elementwise ScalarMass over n strata:
 ///
-/// The kernel is vectorized (AVX2 when compiled in, else SSE2, else scalar)
-/// but every lane performs exactly the scalar sequence of IEEE-754
-/// correctly-rounded mul/add/sub/sqrt operations, so the output is
-/// bit-identical to the scalar loop at every element for every build flavour
-/// — which is what lets the fused step path stay bit-for-bit equal to the
-/// allocating reference path (tests/step_batch_test.cc). No FMA contraction
-/// is ever used: a fused multiply-add rounds once where the scalar formula
-/// rounds twice.
+///   v[i] = ScalarMass(weights[i], lambda[i], pi[i], sqrt_pi[i],
+///                     c_not_pred[i], f, a2f2, omf2)
+///
+/// The kernel runs two lanes at a time on SSE2 (every x86-64 build) and the
+/// scalar loop elsewhere and for the tail, but every lane performs exactly
+/// the scalar sequence of IEEE-754 correctly-rounded mul/add/sub/sqrt
+/// operations, so the output is bit-identical to ScalarMass at every
+/// element. That is what keeps the fused step path's v(t) bit-identical to
+/// CurrentInstrumental(), and its draw to Rng::NextDiscreteLinear over it
+/// (tests/step_batch_test.cc). No FMA contraction is ever used: a fused
+/// multiply-add rounds once where the scalar formula rounds twice.
 ///
 /// Returns the total mass, reduced inside the same pass: each lane's result
 /// is added to one scalar accumulator, one element at a time in index order
@@ -36,10 +54,6 @@ double StratumMassKernel(const double* weights, const double* lambda,
                          const double* pi, const double* sqrt_pi,
                          const double* c_not_pred, double f, double a2f2,
                          double omf2, double* v, size_t n);
-
-/// True when the kernel above runs on a vector unit (AVX2 or SSE2) rather
-/// than the scalar fallback. Diagnostics/benchmark labelling only.
-bool MassKernelVectorized();
 
 }  // namespace oasis
 

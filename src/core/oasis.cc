@@ -131,13 +131,9 @@ Result<std::unique_ptr<OasisSampler>> OasisSampler::CreateWithCsf(
 }
 
 double OasisSampler::StratumMass(size_t k, double f) const {
-  const double pi = pi_cache_[k];
-  const double not_pred = setup_->c_not_pred()[k] * f * sqrt_pi_cache_[k];
-  const double pred =
-      setup_->lambda()[k] *
-      std::sqrt(setup_->alpha_sq() * f * f * (1.0 - pi) +
-                (1.0 - f) * (1.0 - f) * pi);
-  return strata_->weight(k) * (not_pred + pred);
+  return ScalarMass(strata_->weight(k), setup_->lambda()[k], pi_cache_[k],
+                    sqrt_pi_cache_[k], setup_->c_not_pred()[k], f,
+                    setup_->alpha_sq() * f * f, (1.0 - f) * (1.0 - f));
 }
 
 double OasisSampler::AliasMixtureProbability(size_t k) const {
@@ -188,13 +184,12 @@ Status OasisSampler::DoStepBatch(int64_t n) {
   // round-trips through LabelCache::QueryBatch without changing the
   // algorithm. Each iteration is one draw (lines 3-5) and the shared tail.
   for (int64_t i = 0; i < n; ++i) {
-    OASIS_ASSIGN_OR_RETURN(const StratumDraw draw, Draw());
-    OASIS_RETURN_NOT_OK(CompleteStep(draw));
+    OASIS_RETURN_NOT_OK(CompleteStep(Draw()));
   }
   return Status::OK();
 }
 
-Result<OasisSampler::StratumDraw> OasisSampler::Draw() {
+OasisSampler::StratumDraw OasisSampler::Draw() {
   // Degraded mode: a fixed, fully-supported instrumental. The posterior and
   // the monitor keep updating (diagnostics and a possible recovery analysis),
   // but the sampling distribution no longer adapts.
@@ -202,8 +197,6 @@ Result<OasisSampler::StratumDraw> OasisSampler::Draw() {
     return DrawFromScratch();
   }
   switch (options_.step_path) {
-    case OasisStepPath::kAllocatingReference:
-      return DrawAllocatingReference();
     case OasisStepPath::kAlias:
       return DrawAlias();
     case OasisStepPath::kFused:
@@ -225,24 +218,6 @@ OasisSampler::StratumDraw OasisSampler::DrawFromScratch() {
   const size_t k =
       rng().NextDiscreteFromRunningSums(v_scratch_, running_scratch_);
   return {k, v_scratch_[k]};
-}
-
-Result<OasisSampler::StratumDraw> OasisSampler::DrawAllocatingReference() {
-  // Line 3: v(t) from the current posterior means and F estimate, with the
-  // initial Algorithm-2 guess standing in until Eqn. (3) is defined.
-  const double f_current = estimator_.FAlphaOr(setup_->initial_f());
-  {
-    std::vector<double> pi = model_.PosteriorMeans();
-    OASIS_ASSIGN_OR_RETURN(
-        std::vector<double> v_star,
-        OptimalStratifiedInstrumental(strata_->weights(), setup_->lambda(), pi,
-                                      f_current, options_.alpha));
-    OASIS_ASSIGN_OR_RETURN(
-        v_scratch_, EpsilonGreedyMix(strata_->weights(), v_star, active_epsilon_));
-  }
-  // Lines 4-5: stratum ~ v(t) by a linear scan.
-  const size_t k = rng().NextDiscreteLinear(v_scratch_);
-  return StratumDraw{k, v_scratch_[k]};
 }
 
 OasisSampler::StratumDraw OasisSampler::DrawAlias() {
@@ -336,16 +311,17 @@ void OasisSampler::BuildInstrumental(double f, double* OASIS_RESTRICT v,
   const size_t num_strata = strata_->num_strata();
   const double* OASIS_RESTRICT weights = strata_->weights().data();
   // Pass 1: the unnormalised v* masses and their in-order total. Every
-  // expression keeps the reference path's factor grouping, so a seeded run is
-  // bit-identical to OasisStepPath::kAllocatingReference.
+  // expression keeps OptimalStratifiedInstrumental's factor grouping, so v(t)
+  // is bit-identical to CurrentInstrumental().
   double total = StratumMassKernel(
       weights, setup_->lambda().data(), pi_cache_.data(), sqrt_pi_cache_.data(),
       setup_->c_not_pred().data(), f, setup_->alpha_sq() * f * f,
       (1.0 - f) * (1.0 - f), v, num_strata);
   if (total <= 0.0) {
     // Degenerate estimates: fall back to the (already normalised by
-    // invariant, renormalised here for exact reference parity) stratum
-    // weights. Dividing them by 1.0 below is exact.
+    // invariant, renormalised here for exact parity with
+    // OptimalStratifiedInstrumental) stratum weights. Dividing them by 1.0
+    // below is exact.
     std::copy(weights, weights + num_strata, v);
     NormalizeInPlace(std::span<double>(v, num_strata));
     total = 1.0;

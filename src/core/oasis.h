@@ -20,24 +20,20 @@ namespace oasis {
 /// How OasisSampler runs lines 3-5 of Algorithm 3: choose v(t) and draw a
 /// stratum k with its probability v_k. The rest of the iteration (the item
 /// within the stratum, weight omega_k / v_k, oracle query, posterior and AIS
-/// updates) is one shared tail whatever the path. kFused and
-/// kAllocatingReference produce bit-identical sampling sequences from the
-/// same seed (the fused path is simply faster); kAlias samples from the same
-/// instrumental distribution up to a configurable staleness tolerance but
-/// consumes the RNG differently, so it is equivalent in distribution rather
-/// than bit-for-bit (tests/alias_step_path_test.cc verifies both the
-/// distributional match and estimator consistency).
+/// updates) is one shared tail whatever the path. kFused draws, bit for bit,
+/// the stratum that Rng::NextDiscreteLinear would draw from
+/// CurrentInstrumental() with the same Rng state (tests/step_batch_test.cc);
+/// kAlias samples from the same instrumental distribution up to a
+/// configurable staleness tolerance but consumes the RNG differently, so it
+/// is equivalent in distribution rather than bit-for-bit
+/// (tests/alias_step_path_test.cc verifies both the distributional match and
+/// estimator consistency).
 enum class OasisStepPath {
   /// Zero-allocation O(K) refresh in two passes over precomputed per-stratum
   /// constants and an incrementally-maintained posterior-mean cache, then an
   /// O(log K) binary-search draw over the running sums: the exact v(t) of
   /// Algorithm 3 on every step. The default.
   kFused,
-  /// The original allocating path (PosteriorMeans + OptimalStratified-
-  /// Instrumental + EpsilonGreedyMix, one vector each per step). Kept as the
-  /// reference implementation for equivalence tests and as the benchmark
-  /// baseline the fused path is measured against; not a user option.
-  kAllocatingReference,
   /// O(1) draws: a Walker/Vose alias table over the unnormalised v* masses,
   /// rebuilt in place (O(K), zero allocation) only when the instrumental has
   /// drifted — either F-hat moved more than alias_drift_tol since the table
@@ -216,15 +212,12 @@ class OasisSampler : public Sampler {
   /// Lines 3-5 through the configured step_path — or, once degraded with
   /// freeze_instrumental_on_degrade, through DrawFromScratch alone (the
   /// refresh is skipped, so v(t) stays as MaybeDegrade built it).
-  Result<StratumDraw> Draw();
+  StratumDraw Draw();
   /// OasisStepPath::kFused: BuildInstrumental, then DrawFromScratch.
   StratumDraw DrawFused();
   /// Stratum ~ the v(t) held in v_scratch_ / running_scratch_, by an
   /// O(log K) search over the running sums.
   StratumDraw DrawFromScratch();
-  /// OasisStepPath::kAllocatingReference: the original allocating v(t) and
-  /// linear draw, kept as reference and benchmark baseline.
-  Result<StratumDraw> DrawAllocatingReference();
   /// OasisStepPath::kAlias: rebuild the alias table if it drifted, then an
   /// O(1) two-component mixture draw.
   StratumDraw DrawAlias();
@@ -236,8 +229,9 @@ class OasisSampler : public Sampler {
   /// Line 3 of Algorithm 3 in two O(K) passes: writes the epsilon-greedy
   /// instrumental v(t) under F estimate `f` into `v` and its in-order running
   /// sums into `running_sums` (both num_strata long), ready for
-  /// Rng::NextDiscreteFromRunningSums. Bit-identical to the reference path's
-  /// OptimalStratifiedInstrumental + EpsilonGreedyMix.
+  /// Rng::NextDiscreteFromRunningSums. Bit-identical to the spec-level
+  /// OptimalStratifiedInstrumental + EpsilonGreedyMix that
+  /// CurrentInstrumental() computes.
   void BuildInstrumental(double f, double* v, double* running_sums) const;
   /// Fires the graceful degradation once the monitor reports a degenerate
   /// weight history (no-op unless OasisOptions::degrade_on_degeneracy).
@@ -246,8 +240,9 @@ class OasisSampler : public Sampler {
   /// the initial v* alias table. Called from Create() so construction can
   /// still fail cleanly.
   Status InitAlias();
-  /// Unnormalised v* mass of stratum k under F estimate `f`, with exactly the
-  /// factor grouping of the fused scan.
+  /// Unnormalised v* mass of stratum k under F estimate `f`: ScalarMass of
+  /// core/mass_kernel.h, so it equals StratumMassKernel's element k bit for
+  /// bit.
   double StratumMass(size_t k, double f) const;
   /// Probability of stratum k under the epsilon-greedy mixture the alias
   /// draw actually samples from (alias_degenerate_ selects the omega

@@ -146,8 +146,6 @@ TEST_F(AliasStepPathTest, AliasInstrumentalRequiresAliasPath) {
   LabelCache labels(oracle_.get());
   auto fused = MakeSampler(OasisStepPath::kFused, 3, labels);
   EXPECT_FALSE(fused->AliasInstrumental().ok());
-  auto reference = MakeSampler(OasisStepPath::kAllocatingReference, 4, labels);
-  EXPECT_FALSE(reference->AliasInstrumental().ok());
   auto alias = MakeSampler(OasisStepPath::kAlias, 5, labels);
   EXPECT_TRUE(alias->AliasInstrumental().ok());
 }

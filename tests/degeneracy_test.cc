@@ -242,10 +242,7 @@ INSTANTIATE_TEST_SUITE_P(
                     0x1.e77e578f890e8p-1},
         DegradeCase{OasisStepPath::kAlias, "alias", 64, 62,
                     0x1.ea8cc0c386044p-1, 488, 0x1.ef52c585c31a9p-1, 0x1p+0,
-                    0x1.dfb2e1bccc2e3p-1},
-        DegradeCase{OasisStepPath::kAllocatingReference, "reference", 64, 63,
-                    0x1.f5e196f517268p-1, 484, 0x1.f372426a7f5d7p-1, 0x1p+0,
-                    0x1.e77e578f890e8p-1}),
+                    0x1.dfb2e1bccc2e3p-1}),
     [](const ::testing::TestParamInfo<DegradeCase>& info) {
       return std::string(info.param.name);
     });
