@@ -168,9 +168,11 @@ Status ScenarioSpec::Validate() const {
   if (name.empty()) {
     return Status::InvalidArgument("ScenarioSpec: name must not be empty");
   }
-  if (pool_size <= 0) {
-    return Status::InvalidArgument("ScenarioSpec '" + name +
-                                   "': pool_size must be positive");
+  if (pool_size <= 0 || pool_size > kMaxScenarioPoolSize) {
+    return Status::InvalidArgument(
+        "ScenarioSpec '" + name + "': pool_size must lie in [1, " +
+        std::to_string(kMaxScenarioPoolSize) + "], got " +
+        std::to_string(pool_size));
   }
   if (alpha < 0.0 || alpha > 1.0) {
     return Status::InvalidArgument("ScenarioSpec '" + name +

@@ -66,6 +66,14 @@ std::string ScenarioFamilyName(ScenarioFamily family);
 /// Inverse of ScenarioFamilyName; fails on unknown names.
 Result<ScenarioFamily> ScenarioFamilyFromName(const std::string& name);
 
+/// Largest pool a ScenarioSpec may ask for. GenerateScenario reserves the
+/// scores, predictions and truth of every item up front (10 bytes an item),
+/// and a run then builds its per-item strata and label state on top, so 10^8
+/// items is about a gigabyte before the first label. That is over 100 times
+/// the largest in-tree pool (676 267 items), and it refuses a size such as
+/// 10^15 before anything is allocated instead of aborting in bad_alloc.
+inline constexpr int64_t kMaxScenarioPoolSize = 100000000;
+
 /// A difficulty-controlled scenario: everything needed to regenerate its
 /// pool bit-for-bit. Serialisable to the apps' `key = value` config format
 /// (ToConfigString / FromConfig), so gen -> run -> verify round-trips through
@@ -75,7 +83,7 @@ struct ScenarioSpec {
   std::string name = "scenario";
   /// Generator family; selects both the count derivation and the score shape.
   ScenarioFamily family = ScenarioFamily::kExactCount;
-  /// Number of pool items N.
+  /// Number of pool items N, in [1, kMaxScenarioPoolSize].
   int64_t pool_size = 10000;
   /// Generation seed; pools are a pure function of (spec, seed).
   uint64_t seed = 1;

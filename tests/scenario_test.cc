@@ -238,6 +238,33 @@ TEST(ScenarioTest, ValidateRejectsBrokenSpecs) {
   EXPECT_FALSE(bad_flip.Validate().ok());
 }
 
+TEST(ScenarioTest, RefusesPoolSizeAboveTheCapBeforeAllocating) {
+  ScenarioSpec spec = ScenarioByName("stripe-f90").ValueOrDie();
+  spec.pool_size = kMaxScenarioPoolSize;
+  EXPECT_TRUE(spec.Validate().ok());
+  for (const int64_t hostile :
+       {kMaxScenarioPoolSize + 1, int64_t{1000000000000000}}) {
+    SCOPED_TRACE(hostile);
+    spec.pool_size = hostile;
+    EXPECT_EQ(spec.Validate().code(), StatusCode::kInvalidArgument);
+    // GenerateScenario refuses it before reserving the pool vectors.
+    const Result<ScenarioPool> pool = GenerateScenario(spec);
+    ASSERT_FALSE(pool.ok());
+    EXPECT_EQ(pool.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(pool.status().message().find("pool_size"), std::string::npos);
+    // A scenario file reaches the same check through FromConfig.
+    const auto config =
+        experiments::ConfigMap::Parse(
+            "name = x\nfamily = exact-count\npool_size = " +
+            std::to_string(hostile) +
+            "\ntrue_positives = 900\nfalse_positives = 100\n"
+            "false_negatives = 100\n")
+            .ValueOrDie();
+    EXPECT_EQ(ScenarioSpec::FromConfig(config).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(ScenarioTest, ByNameListsKnownNamesOnMiss) {
   const auto result = ScenarioByName("no-such-scenario");
   ASSERT_FALSE(result.ok());
