@@ -2,8 +2,11 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -67,6 +70,30 @@ class FlatJsonParser {
     if (it == numbers_.end()) return Missing(key, "number");
     used_.insert(key);
     return it->second;
+  }
+
+  /// The number `key` as a T: InvalidArgument unless it is integral and
+  /// within T's range. A plain integer token is read exactly, so a 64-bit
+  /// seed round-trips; any other spelling (1e3, 5.0) goes through its double
+  /// value.
+  template <typename T>
+  Result<T> GetInteger(const std::string& key) const {
+    OASIS_ASSIGN_OR_RETURN(const double value, GetNumber(key));
+    const std::string& token = number_text_.at(key);
+    T parsed{};
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, parsed);
+    if (ec == std::errc() && ptr == end) return parsed;
+    // [lowest, limit) as doubles: both bounds are exact powers of two.
+    const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+    const double lowest = std::numeric_limits<T>::is_signed ? -limit : 0.0;
+    if (std::trunc(value) != value || !(value >= lowest && value < limit)) {
+      return Status::InvalidArgument(
+          "RunSummary JSON: field '" + key + "' must be an integer in [" +
+          std::to_string(std::numeric_limits<T>::min()) + ", " +
+          std::to_string(std::numeric_limits<T>::max()) + "], got " + token);
+    }
+    return static_cast<T>(value);
   }
 
   Result<bool> GetBool(const std::string& key) const {
@@ -186,7 +213,9 @@ class FlatJsonParser {
       arrays_[key] = std::move(values);
       return Status::OK();
     }
+    const size_t start = pos_;
     OASIS_ASSIGN_OR_RETURN(numbers_[key], ParseNumber());
+    number_text_[key] = text_.substr(start, pos_ - start);
     return Status::OK();
   }
 
@@ -194,6 +223,8 @@ class FlatJsonParser {
   size_t pos_ = 0;
   std::map<std::string, std::string> strings_;
   std::map<std::string, double> numbers_;
+  // The token each entry of numbers_ was parsed from, for GetInteger.
+  std::map<std::string, std::string> number_text_;
   std::map<std::string, bool> bools_;
   std::map<std::string, std::vector<double>> arrays_;
   mutable std::set<std::string> used_;
@@ -264,9 +295,8 @@ Result<RunSummary> ParseRunSummaryJson(const std::string& text) {
   FlatJsonParser parser(text);
   OASIS_RETURN_NOT_OK(parser.Parse());
   RunSummary summary;
-  OASIS_ASSIGN_OR_RETURN(const double schema_version,
-                         parser.GetNumber("schema_version"));
-  summary.schema_version = static_cast<int64_t>(schema_version);
+  OASIS_ASSIGN_OR_RETURN(summary.schema_version,
+                         parser.GetInteger<int64_t>("schema_version"));
   if (summary.schema_version != 1) {
     return Status::InvalidArgument(
         "RunSummary JSON: unsupported schema_version " +
@@ -275,19 +305,16 @@ Result<RunSummary> ParseRunSummaryJson(const std::string& text) {
   OASIS_ASSIGN_OR_RETURN(summary.scenario, parser.GetString("scenario"));
   OASIS_ASSIGN_OR_RETURN(summary.method, parser.GetString("method"));
   OASIS_ASSIGN_OR_RETURN(summary.alpha, parser.GetNumber("alpha"));
-  OASIS_ASSIGN_OR_RETURN(const double pool_size,
-                         parser.GetNumber("pool_size"));
-  summary.pool_size = static_cast<int64_t>(pool_size);
-  OASIS_ASSIGN_OR_RETURN(const double scenario_seed,
-                         parser.GetNumber("scenario_seed"));
-  summary.scenario_seed = static_cast<uint64_t>(scenario_seed);
-  OASIS_ASSIGN_OR_RETURN(const double run_seed, parser.GetNumber("run_seed"));
-  summary.run_seed = static_cast<uint64_t>(run_seed);
+  OASIS_ASSIGN_OR_RETURN(summary.pool_size,
+                         parser.GetInteger<int64_t>("pool_size"));
+  OASIS_ASSIGN_OR_RETURN(summary.scenario_seed,
+                         parser.GetInteger<uint64_t>("scenario_seed"));
+  OASIS_ASSIGN_OR_RETURN(summary.run_seed,
+                         parser.GetInteger<uint64_t>("run_seed"));
   OASIS_ASSIGN_OR_RETURN(summary.true_f, parser.GetNumber("true_f"));
-  OASIS_ASSIGN_OR_RETURN(const double budget, parser.GetNumber("budget"));
-  summary.budget = static_cast<int64_t>(budget);
-  OASIS_ASSIGN_OR_RETURN(const double repeats, parser.GetNumber("repeats"));
-  summary.repeats = static_cast<int64_t>(repeats);
+  OASIS_ASSIGN_OR_RETURN(summary.budget, parser.GetInteger<int64_t>("budget"));
+  OASIS_ASSIGN_OR_RETURN(summary.repeats,
+                         parser.GetInteger<int64_t>("repeats"));
   OASIS_ASSIGN_OR_RETURN(summary.final_mean_estimate,
                          parser.GetNumber("final_mean_estimate"));
   OASIS_ASSIGN_OR_RETURN(summary.final_mean_abs_error,

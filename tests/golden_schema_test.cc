@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -188,6 +189,47 @@ TEST(GoldenSchemaTest, UnsupportedSchemaVersionIsRejected) {
   const std::string v1 = "\"schema_version\": 1";
   text.replace(text.find(v1), v1.size(), "\"schema_version\": 2");
   EXPECT_FALSE(ParseRunSummaryJson(text).ok());
+}
+
+TEST(GoldenSchemaTest, IntegerFieldsRefuseFractionsAndOutOfRangeValues) {
+  const std::string golden = RunSummaryToJson(GoldenSummary());
+  for (const std::string field : {"schema_version", "pool_size", "scenario_seed",
+                                  "run_seed", "budget", "repeats"}) {
+    const std::string key = "\"" + field + "\": ";
+    const size_t value_begin = golden.find(key) + key.size();
+    const size_t value_end = golden.find(',', value_begin);
+    for (const std::string hostile :
+         {"1.5", "1e300", "-1e300", "99999999999999999999", "inf", "nan"}) {
+      SCOPED_TRACE(field + " = " + hostile);
+      std::string text = golden;
+      text.replace(value_begin, value_end - value_begin, hostile);
+      const auto result = ParseRunSummaryJson(text);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(result.status().message().find(field), std::string::npos)
+          << result.status().message();
+    }
+  }
+  // Seeds are unsigned: a negative one is out of range, not wrapped.
+  std::string text = golden;
+  const std::string seed = "\"run_seed\": 7";
+  text.replace(text.find(seed), seed.size(), "\"run_seed\": -1");
+  EXPECT_FALSE(ParseRunSummaryJson(text).ok());
+}
+
+TEST(GoldenSchemaTest, IntegerFieldsAcceptAnyIntegralSpellingAndFull64BitSeeds) {
+  std::string text = RunSummaryToJson(GoldenSummary());
+  const std::string budget = "\"budget\": 1000";
+  text.replace(text.find(budget), budget.size(), "\"budget\": 1e3");
+  EXPECT_EQ(ParseRunSummaryJson(text).ValueOrDie().budget, 1000);
+
+  RunSummary wide = GoldenSummary();
+  wide.scenario_seed = std::numeric_limits<uint64_t>::max();
+  wide.run_seed = (uint64_t{1} << 63) + 1;  // Not a double.
+  const RunSummary parsed =
+      ParseRunSummaryJson(RunSummaryToJson(wide)).ValueOrDie();
+  EXPECT_EQ(parsed.scenario_seed, wide.scenario_seed);
+  EXPECT_EQ(parsed.run_seed, wide.run_seed);
 }
 
 TEST(GoldenSchemaTest, WriteReadFileRoundTrip) {
